@@ -15,11 +15,17 @@ fmt:
 		echo "gofmt: needs formatting:"; echo "$$out"; exit 1; \
 	fi
 
+# perfbench is a nested module (so ./... skips it) that builds serve and
+# jobs wire types by field name; vet and build it too so a type change
+# that breaks the benchmark fails here. perfbench is a single main
+# package, so its build output is discarded rather than left in the tree.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 build:
 	$(GO) build ./...
+	cd perfbench && $(GO) build -o /dev/null ./...
 
 test:
 	$(GO) test ./...

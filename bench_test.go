@@ -275,7 +275,7 @@ func BenchmarkExtract(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("N%d", bits), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := extract.Extract(l); err != nil {
+				if _, err := extract.ExtractContext(context.Background(), l); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -332,7 +332,7 @@ func BenchmarkFullFlowFacade(b *testing.B) {
 
 func BenchmarkBestBC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.RunBestBC(core.Config{Bits: 6, MaxParallel: 2, SkipNL: true}); err != nil {
+		if _, _, err := core.RunBestBCContext(context.Background(), core.Config{Bits: 6, MaxParallel: 2, SkipNL: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -407,7 +407,7 @@ func BenchmarkSpiceTransient(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sum, err := extract.Extract(l)
+	sum, err := extract.ExtractContext(context.Background(), l)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -451,7 +451,7 @@ func BenchmarkYieldEstimate(b *testing.B) {
 	pos := variation.GridPositioner(t)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := yield.Estimate(m, pos, t, math.Pi/4,
+		_, err := yield.EstimateContext(context.Background(), m, pos, t, math.Pi/4,
 			yield.Spec{MaxAbsDNL: 0.01, MaxAbsINL: 0.01}, dacmodel.Parasitics{}, 20, 1)
 		if err != nil {
 			b.Fatal(err)
@@ -461,7 +461,7 @@ func BenchmarkYieldEstimate(b *testing.B) {
 
 func BenchmarkAblationBC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := sweep.BCAblation(6, 2); err != nil {
+		if _, err := sweep.BCAblationContext(context.Background(), 6, 2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -484,7 +484,7 @@ func BenchmarkDACGlitchScan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sum, err := extract.Extract(l)
+	sum, err := extract.ExtractContext(context.Background(), l)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -26,6 +26,7 @@ import (
 	"context"
 
 	"ccdac/internal/core"
+	"ccdac/internal/memo"
 	"ccdac/internal/obs"
 	"ccdac/internal/place"
 	"ccdac/internal/render"
@@ -128,6 +129,77 @@ type Config struct {
 	FFT string
 }
 
+// Canonical returns cfg's design fields in their one normal form, the
+// definition of request equivalence behind every cache and coalescing
+// key: documented defaults are made explicit (Spiral, "finfet12",
+// "auto", 8 theta steps), MaxParallel values that disable parallel
+// routing collapse to 0, and fields the run never reads are zeroed
+// (ThetaSteps under SkipNonlinearity, CoreBits/BlockCells outside
+// BlockChessboard, the anneal knobs outside Annealed). Configs with
+// equal canonical forms produce identical results. Execution knobs
+// (Workers, Trace, TraceMemStats, Memo) are left as they are, and
+// Canonical does not validate.
+func (cfg Config) Canonical() Config {
+	if cfg.Style == "" {
+		cfg.Style = Spiral
+	}
+	if cfg.TechNode == "" {
+		cfg.TechNode = "finfet12"
+	}
+	if cfg.FFT == "" {
+		cfg.FFT = "auto"
+	}
+	if cfg.MaxParallel <= 1 {
+		cfg.MaxParallel = 0
+	}
+	if cfg.SkipNonlinearity {
+		cfg.ThetaSteps = 0 // the theta sweep never runs
+	} else if cfg.ThetaSteps == 0 {
+		cfg.ThetaSteps = 8
+	}
+	if cfg.Style != BlockChessboard {
+		cfg.CoreBits, cfg.BlockCells = 0, 0
+	}
+	if cfg.Style != Annealed {
+		cfg.AnnealSeed, cfg.AnnealMoves = 0, 0
+	}
+	return cfg
+}
+
+// ResultKey is the content-addressed key of everything that decides a
+// generation's result: the canonical design fields, plus bestBC, which
+// selects the GenerateBestBC sweep (whose style is forced and whose
+// block structure the sweep chooses). namespace versions the key.
+func (cfg Config) ResultKey(namespace string, bestBC bool) string {
+	return cfg.key(namespace, false, bestBC)
+}
+
+// LayoutKey is the content-addressed key of the canonical fields that
+// decide the placed, routed and extracted layout and its covariance
+// engine — the analysis fields are left out. namespace versions the
+// key.
+func (cfg Config) LayoutKey(namespace string) string {
+	return cfg.key(namespace, true, false)
+}
+
+// key is the one key derivation over a configuration. The field order
+// is part of every persisted key and must not change.
+func (cfg Config) key(namespace string, layoutOnly, bestBC bool) string {
+	if bestBC {
+		cfg.Style = BlockChessboard
+		cfg.CoreBits, cfg.BlockCells = 0, 0
+	}
+	c := cfg.Canonical()
+	k := memo.NewKey(namespace).
+		Int(c.Bits).Str(string(c.Style)).Int(c.CoreBits).Int(c.BlockCells).
+		Int(c.MaxParallel).I64(c.AnnealSeed).Int(c.AnnealMoves)
+	if layoutOnly {
+		return k.Str(c.TechNode).Str(c.FFT).Sum()
+	}
+	return k.Int(c.ThetaSteps).Bool(c.SkipNonlinearity).Str(c.TechNode).
+		Bool(bestBC).Str(c.FFT).Sum()
+}
+
 // Metrics summarizes a generated layout, mirroring the paper's
 // Tables I and II.
 type Metrics struct {
@@ -209,10 +281,10 @@ func Generate(cfg Config) (*Result, error) {
 // parallel-wire promotion iterations. A canceled run returns a
 // *PipelineError whose cause matches ctx.Err() under errors.Is.
 func GenerateContext(ctx context.Context, cfg Config) (*Result, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	ccfg, err := toCoreConfig(cfg)
+	ccfg, err := cfg.CoreConfig()
 	if err != nil {
 		return nil, err
 	}
@@ -262,10 +334,10 @@ func GenerateBestBC(cfg Config) (*Result, []*Result, error) {
 // GenerateBestBCContext is GenerateBestBC under a context.
 func GenerateBestBCContext(ctx context.Context, cfg Config) (*Result, []*Result, error) {
 	cfg.Style = BlockChessboard
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
-	ccfg, err := toCoreConfig(cfg)
+	ccfg, err := cfg.CoreConfig()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -312,46 +384,41 @@ func (r *Result) GroupsSummary() string {
 	return render.GroupsSummary(r.res.Layout)
 }
 
-func toCoreConfig(cfg Config) (core.Config, error) {
+// CoreConfig maps cfg's canonical form onto the internal flow
+// configuration — the one mapping of style and technology names, for
+// the facade and for in-module callers (the job tier) that drive the
+// flow's stages themselves. It does not validate; it fails only on
+// names Validate would have rejected.
+func (cfg Config) CoreConfig() (core.Config, error) {
+	c := cfg.Canonical()
+	style, err := place.ParseStyle(string(c.Style))
+	if err != nil {
+		return core.Config{}, configErr(cfg, "Style", "%v", err)
+	}
+	t, err := tech.ByName(c.TechNode)
+	if err != nil {
+		return core.Config{}, configErr(cfg, "TechNode", "%v", err)
+	}
 	out := core.Config{
-		Bits:        cfg.Bits,
-		MaxParallel: cfg.MaxParallel,
-		ThetaSteps:  cfg.ThetaSteps,
-		SkipNL:      cfg.SkipNonlinearity,
-		Workers:     cfg.Workers,
-		Memo:        cfg.Memo,
-		FFT:         cfg.FFT,
+		Bits:        c.Bits,
+		Style:       style,
+		BC:          place.BCParams{CoreBits: c.CoreBits, BlockCells: c.BlockCells},
+		Tech:        t,
+		MaxParallel: c.MaxParallel,
+		ThetaSteps:  c.ThetaSteps,
+		SkipNL:      c.SkipNonlinearity,
+		Workers:     c.Workers,
+		Memo:        c.Memo,
+		FFT:         c.FFT,
 	}
-	switch cfg.TechNode {
-	case "", "finfet12":
-		// core defaults to tech.FinFET12
-	case "bulk65":
-		out.Tech = tech.Bulk65()
-	default:
-		return core.Config{}, configErr(cfg, "TechNode", "unknown technology node %q", cfg.TechNode)
-	}
-	switch cfg.Style {
-	case Spiral, "":
-		out.Style = place.Spiral
-	case Chessboard:
-		out.Style = place.Chessboard
-	case BlockChessboard:
-		out.Style = place.BlockChessboard
-		out.BC = place.BCParams{CoreBits: cfg.CoreBits, BlockCells: cfg.BlockCells}
-		if out.BC.CoreBits == 0 && out.BC.BlockCells == 0 {
-			out.BC = place.BCParams{}
-		}
-	case Annealed:
-		out.Style = place.Annealed
+	if style == place.Annealed {
 		out.Anneal = place.DefaultAnnealConfig()
-		if cfg.AnnealSeed != 0 {
-			out.Anneal.Seed = cfg.AnnealSeed
+		if c.AnnealSeed != 0 {
+			out.Anneal.Seed = c.AnnealSeed
 		}
-		if cfg.AnnealMoves != 0 {
-			out.Anneal.Moves = cfg.AnnealMoves
+		if c.AnnealMoves != 0 {
+			out.Anneal.Moves = c.AnnealMoves
 		}
-	default:
-		return core.Config{}, configErr(cfg, "Style", "unknown placement style %q", cfg.Style)
 	}
 	return out, nil
 }

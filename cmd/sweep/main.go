@@ -70,14 +70,9 @@ func main() {
 	}
 	switch *study {
 	case "knob":
-		st, ok := map[string]place.Style{
-			"spiral":           place.Spiral,
-			"chessboard":       place.Chessboard,
-			"block-chessboard": place.BlockChessboard,
-			"annealed":         place.Annealed,
-		}[*style]
-		if !ok {
-			fatal(fmt.Errorf("unknown style %q", *style))
+		st, err := place.ParseStyle(*style)
+		if err != nil {
+			fatal(err)
 		}
 		pts, err := sweep.SensitivityContext(ctx, core.Config{
 			Bits: *bits, Style: st, MaxParallel: *parallel, ThetaSteps: 4, Memo: *memoize,

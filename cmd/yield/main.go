@@ -49,14 +49,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	styles := []struct {
-		name  string
-		style place.Style
-	}{
-		{"spiral", place.Spiral},
-		{"block-chessboard", place.BlockChessboard},
-		{"chessboard", place.Chessboard},
-	}
+	styles := []place.Style{place.Spiral, place.BlockChessboard, place.Chessboard}
 	fmt.Printf("%d-bit DAC parametric yield (%d samples/point, spec on both |INL| and |DNL|)\n\n", *bits, *samples)
 	fmt.Printf("%-18s", "spec (LSB):")
 	for _, s := range specs {
@@ -70,7 +63,7 @@ func main() {
 	} else {
 		t := tech.FinFET12()
 		for _, s := range styles {
-			res, err := core.Run(core.Config{Bits: *bits, Style: s.style, SkipNL: true, Memo: *memoize})
+			res, err := core.Run(core.Config{Bits: *bits, Style: s, SkipNL: true, Memo: *memoize})
 			if err != nil {
 				fatal(err)
 			}
@@ -80,7 +73,7 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			fmt.Printf("%-18s", s.name)
+			fmt.Printf("%-18s", s)
 			for _, r := range curve {
 				fmt.Printf("  %5.1f%% ±%3.0f", 100*r.Yield, 100*(r.CIHigh-r.CILow)/2)
 			}
@@ -95,11 +88,7 @@ func main() {
 // daemon's micro-batching coalesce the per-style groups, then polls
 // the jobs to completion and prints the same table the local path
 // would.
-func runViaJobs(base string, bits, samples int, seed int64, specs []float64,
-	styles []struct {
-		name  string
-		style place.Style
-	}) error {
+func runViaJobs(base string, bits, samples int, seed int64, specs []float64, styles []place.Style) error {
 	client := &http.Client{Timeout: 30 * time.Second}
 	ids := make([][]string, len(styles))
 	for si, st := range styles {
@@ -108,24 +97,24 @@ func runViaJobs(base string, bits, samples int, seed int64, specs []float64,
 			spec := jobs.Spec{
 				Kind:    jobs.KindYield,
 				Bits:    bits,
-				Style:   st.name,
+				Style:   st.String(),
 				Samples: samples,
 				Seed:    seed,
 				SpecINL: sp,
 			}
 			id, err := submitJob(client, base, spec)
 			if err != nil {
-				return fmt.Errorf("submitting %s spec %g: %w", st.name, sp, err)
+				return fmt.Errorf("submitting %s spec %g: %w", st, sp, err)
 			}
 			ids[si][pi] = id
 		}
 	}
 	for si, st := range styles {
-		fmt.Printf("%-18s", st.name)
+		fmt.Printf("%-18s", st)
 		for pi := range specs {
 			res, err := awaitJob(client, base, ids[si][pi])
 			if err != nil {
-				return fmt.Errorf("job %s (%s): %w", ids[si][pi], st.name, err)
+				return fmt.Errorf("job %s (%s): %w", ids[si][pi], st, err)
 			}
 			fmt.Printf("  %5.1f%% ±%3.0f", 100*res.Yield, 100*(res.CIHigh-res.CILow)/2)
 		}

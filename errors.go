@@ -6,6 +6,8 @@ import (
 
 	"ccdac/internal/core"
 	"ccdac/internal/fault"
+	"ccdac/internal/place"
+	"ccdac/internal/tech"
 )
 
 // Stage names carried by PipelineError.Stage, one per pipeline phase.
@@ -119,16 +121,18 @@ func configErr(cfg Config, field, format string, args ...any) error {
 	}
 }
 
-// validate rejects malformed configurations before any flow stage
-// runs, naming the offending field. Every error matches ErrConfig.
-func (cfg Config) validate() error {
+// Validate rejects malformed configurations before any flow stage
+// runs, naming the offending field; every error is a *PipelineError
+// matching ErrConfig. It is the one design validator: Generate, the
+// serve endpoints and the job tier all apply it. Numeric fields are
+// checked as given, names after Canonical fills their defaults.
+func (cfg Config) Validate() error {
+	c := cfg.Canonical()
 	if cfg.Bits < MinBits || cfg.Bits > MaxBits {
 		return configErr(cfg, "Bits", "%d outside supported range %d..%d", cfg.Bits, MinBits, MaxBits)
 	}
-	switch cfg.Style {
-	case "", Spiral, Chessboard, BlockChessboard, Annealed:
-	default:
-		return configErr(cfg, "Style", "unknown placement style %q", cfg.Style)
+	if _, err := place.ParseStyle(string(c.Style)); err != nil {
+		return configErr(cfg, "Style", "%v", err)
 	}
 	if cfg.MaxParallel < 0 || cfg.MaxParallel > MaxParallelWires {
 		return configErr(cfg, "MaxParallel", "%d outside 0..%d", cfg.MaxParallel, MaxParallelWires)
@@ -158,14 +162,10 @@ func (cfg Config) validate() error {
 	if cfg.Workers > MaxWorkers {
 		return configErr(cfg, "Workers", "%d exceeds %d", cfg.Workers, MaxWorkers)
 	}
-	switch cfg.TechNode {
-	case "", "finfet12", "bulk65":
-	default:
-		return configErr(cfg, "TechNode", "unknown technology node %q", cfg.TechNode)
+	if _, err := tech.ByName(c.TechNode); err != nil {
+		return configErr(cfg, "TechNode", "%v", err)
 	}
-	switch cfg.FFT {
-	case "", "auto", "off":
-	default:
+	if c.FFT != "auto" && c.FFT != "off" {
 		return configErr(cfg, "FFT", "unknown covariance engine %q (want \"auto\" or \"off\")", cfg.FFT)
 	}
 	return nil

@@ -29,13 +29,12 @@ func main() {
 		"array style", "worst glitch", "at code", "update rate MS/s")
 
 	styles := []struct {
-		name  string
 		style place.Style
 		par   int
 	}{
-		{"spiral", place.Spiral, 2},
-		{"block-chessboard", place.BlockChessboard, 2},
-		{"chessboard", place.Chessboard, 1},
+		{place.Spiral, 2},
+		{place.BlockChessboard, 2},
+		{place.Chessboard, 1},
 	}
 	for _, s := range styles {
 		res, err := core.Run(core.Config{Bits: *bits, Style: s.style, MaxParallel: s.par, SkipNL: true})
@@ -55,7 +54,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-18s %13.3g Vs %6d->%-6d %16.1f\n",
-			s.name, glitch, code, code+1, rate/1e6)
+			s.style, glitch, code, code+1, rate/1e6)
 	}
 	fmt.Println("\nSlow, unevenly-settling bits (the chessboard's long trunks and via")
 	fmt.Println("chains) both glitch harder at carries and cap the update rate — the")

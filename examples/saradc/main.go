@@ -30,13 +30,12 @@ func main() {
 		"array style", "|DNL| LSB", "|INL| LSB", "ENOB", "max rate MS/s")
 
 	styles := []struct {
-		name  string
 		style place.Style
 		par   int
 	}{
-		{"spiral", place.Spiral, 2},
-		{"block-chessboard", place.BlockChessboard, 2},
-		{"chessboard", place.Chessboard, 1},
+		{place.Spiral, 2},
+		{place.BlockChessboard, 2},
+		{place.Chessboard, 1},
 	}
 	for _, s := range styles {
 		res, err := core.Run(core.Config{
@@ -68,7 +67,7 @@ func main() {
 		}
 		rate := sar.MaxSampleRateHz(*bits, res.Electrical.Tau())
 		fmt.Printf("%-18s %10.4f %10.4f %8.2f %14.1f\n",
-			s.name, worstDNL, worstINL, sumENOB/float64(len(shifts)), rate/1e6)
+			s.style, worstDNL, worstINL, sumENOB/float64(len(shifts)), rate/1e6)
 	}
 
 	fmt.Println("\nThe spiral array converts fastest; the chessboard array converts most")

@@ -431,17 +431,11 @@ func failWith(err error, res *Result) error {
 	return err
 }
 
-// RunBestBC sweeps the block-chessboard parameter grid and returns the
-// best result — the paper reports "the best BC result" among several
-// granularities (Fig. 4). Best = the highest f3dB among candidates
-// whose INL and DNL stay below 0.5 LSB (all of the paper's do); ties
-// break toward lower INL.
-func RunBestBC(cfg Config) (*Result, []*Result, error) {
-	return RunBestBCContext(context.Background(), cfg)
-}
-
-// RunBestBCContext is RunBestBC under a context. A candidate that
-// fails is skipped and recorded in the best result's Warnings rather
+// RunBestBCContext sweeps the block-chessboard parameter grid and
+// returns the best result — the paper reports "the best BC result"
+// among several granularities (Fig. 4). Best = the highest f3dB among
+// candidates whose INL and DNL stay below 0.5 LSB (all of the paper's
+// do); ties break toward lower INL. A candidate that fails is skipped and recorded in the best result's Warnings rather
 // than aborting the sweep; the sweep errors only when every candidate
 // fails (with the last failure) or the context is canceled.
 func RunBestBCContext(ctx context.Context, cfg Config) (*Result, []*Result, error) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -59,7 +60,7 @@ func TestPaperF3dBOrdering(t *testing.T) {
 	// the [7] chessboard baseline without. Required shape:
 	// f3dB(S) > f3dB(BC) > f3dB([7]).
 	s := run(t, Config{Bits: 8, Style: place.Spiral, MaxParallel: 2, SkipNL: true})
-	bc, _, err := RunBestBC(Config{Bits: 8, MaxParallel: 2, SkipNL: true})
+	bc, _, err := RunBestBCContext(context.Background(), Config{Bits: 8, MaxParallel: 2, SkipNL: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestChessboardDoublesOddBitArea(t *testing.T) {
 }
 
 func TestRunBestBCSelection(t *testing.T) {
-	best, all, err := RunBestBC(Config{Bits: 6, MaxParallel: 2})
+	best, all, err := RunBestBCContext(context.Background(), Config{Bits: 6, MaxParallel: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestParallelSweepPropagatesErrors(t *testing.T) {
 }
 
 func TestRunBestBCInfeasibleBits(t *testing.T) {
-	if _, _, err := RunBestBC(Config{Bits: 3, SkipNL: true}); err == nil {
+	if _, _, err := RunBestBCContext(context.Background(), Config{Bits: 3, SkipNL: true}); err == nil {
 		t.Fatal("3-bit BC sweep has no feasible structures and must error")
 	}
 }

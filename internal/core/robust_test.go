@@ -183,7 +183,7 @@ func TestBestBCSkipsFailingCandidate(t *testing.T) {
 	// the best of the remaining candidates and record the skip.
 	fault.Enable(fault.StageRoute, 0, sentinel)
 	cfg := Config{Bits: 6, ThetaSteps: 2}
-	best, all, err := RunBestBC(cfg)
+	best, all, err := RunBestBCContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("one failing candidate must not fail the sweep: %v", err)
 	}
@@ -206,7 +206,7 @@ func TestBestBCNoFeasibleCandidates(t *testing.T) {
 	// 2 bits admits no block-chessboard structure (CoreBits must be even
 	// and in 2..bits-1): the sweep must error with a placement
 	// StageError instead of returning an empty best.
-	_, _, err := RunBestBC(Config{Bits: 2, ThetaSteps: 2})
+	_, _, err := RunBestBCContext(context.Background(), Config{Bits: 2, ThetaSteps: 2})
 	if err == nil {
 		t.Fatal("sweep with no feasible candidates must error")
 	}

@@ -149,14 +149,9 @@ func Nonlinearity(a *variation.Analysis, par Parasitics, vref float64) (*Result,
 	return res, nil
 }
 
-// WorstOverTheta runs Nonlinearity for every analysis in the sweep and
-// returns the worst-case result (max |INL|, with its |DNL| companion
-// taken from the same worst angle by |INL|+|DNL|).
-func WorstOverTheta(as []*variation.Analysis, parasitics Parasitics, vref float64) (*Result, error) {
-	return WorstOverThetaContext(context.Background(), as, parasitics, vref)
-}
-
-// WorstOverThetaContext is WorstOverTheta under a context: the
+// WorstOverThetaContext runs Nonlinearity for every analysis in the
+// sweep and returns the worst-case result (max |INL|, with its |DNL|
+// companion taken from the same worst angle by |INL|+|DNL|). The
 // per-angle code sweeps run on the context's worker budget and
 // cancellation is checked before each angle. The worst-case reduction
 // happens serially in angle order afterwards, so the selected angle —

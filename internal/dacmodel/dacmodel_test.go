@@ -1,6 +1,7 @@
 package dacmodel
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -143,7 +144,7 @@ func TestWorstOverTheta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	worst, err := WorstOverTheta(as, Parasitics{}, 1)
+	worst, err := WorstOverThetaContext(context.Background(), as, Parasitics{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestWorstOverTheta(t *testing.T) {
 			t.Errorf("sweep member exceeds reported worst")
 		}
 	}
-	if _, err := WorstOverTheta(nil, Parasitics{}, 1); err == nil {
+	if _, err := WorstOverThetaContext(context.Background(), nil, Parasitics{}, 1); err == nil {
 		t.Error("empty sweep must be rejected")
 	}
 }

@@ -1,6 +1,7 @@
 package dacsim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -146,7 +147,7 @@ func TestFromExtractEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := extract.Extract(l)
+	sum, err := extract.ExtractContext(context.Background(), l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestGlitchOrderingAcrossStyles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum, err := extract.Extract(l)
+		sum, err := extract.ExtractContext(context.Background(), l)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package drc
 
 import (
+	"context"
 	"testing"
 
 	"ccdac/internal/extract"
@@ -25,7 +26,7 @@ func TestPipelineOnRandomPlacements(t *testing.T) {
 			if err != nil {
 				t.Fatalf("bits=%d seed=%d: route: %v", bits, seed, err)
 			}
-			sum, err := extract.Extract(l)
+			sum, err := extract.ExtractContext(context.Background(), l)
 			if err != nil {
 				t.Fatalf("bits=%d seed=%d: extract: %v", bits, seed, err)
 			}
@@ -68,7 +69,7 @@ func TestPipelineOnRandomPlacementsParallel(t *testing.T) {
 				if err != nil {
 					t.Fatalf("bits=%d p=%d seed=%d: route: %v", bits, p, seed, err)
 				}
-				sum, err := extract.Extract(l)
+				sum, err := extract.ExtractContext(context.Background(), l)
 				if err != nil {
 					t.Fatalf("bits=%d p=%d seed=%d: extract: %v", bits, p, seed, err)
 				}

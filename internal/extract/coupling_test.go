@@ -153,7 +153,7 @@ func TestConcurrentExtractAndAnalyzeShareTechnology(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			if _, err := Extract(l); err != nil {
+			if _, err := ExtractContext(context.Background(), l); err != nil {
 				errc <- err
 			}
 		}()

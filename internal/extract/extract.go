@@ -101,14 +101,10 @@ func (s *Summary) Tau() float64 {
 	return s.Bits[crit].TauSec
 }
 
-// Extract computes the full electrical view of a routed layout.
-func Extract(l *route.Layout) (*Summary, error) {
-	return ExtractContext(context.Background(), l)
-}
-
-// ExtractContext is Extract under a context carrying the observability
-// trace: the coupling sweep and the per-bit network builds are recorded
-// as nested spans, and solver effort lands in the trace's metrics.
+// ExtractContext computes the full electrical view of a routed layout
+// under a context carrying the observability trace: the coupling sweep
+// and the per-bit network builds are recorded as nested spans, and
+// solver effort lands in the trace's metrics.
 func ExtractContext(ctx context.Context, l *route.Layout) (*Summary, error) {
 	if err := fault.Check(fault.StageExtract); err != nil {
 		return nil, fmt.Errorf("extract: %w", err)

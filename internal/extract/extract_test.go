@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 func extracted(t *testing.T, bits int, style place.Style, par []int) *Summary {
 	t.Helper()
 	l := layoutFor(t, bits, style, par)
-	s, err := Extract(l)
+	s, err := ExtractContext(context.Background(), l)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -473,14 +473,18 @@ func (m *Manager) runYieldGroup(live []*jobState) {
 	tr := m.newTrace(leader.job.ID)
 	pctx := obs.WithTrace(m.ctx, tr)
 	pctx, root := obs.StartSpan(pctx, "jobs.prefix")
-	cfg, t, err := spec.coreConfig(m.opts.ComputeWorkers, m.opts.Memo)
+	// The Monte-Carlo tail is the nonlinearity analysis: the prefix
+	// skips the generate-side sweep.
+	cfg := m.config(spec)
+	cfg.SkipNonlinearity = true
+	ccfg, err := cfg.CoreConfig()
 	var res *core.Result
 	var sh *variation.Shared
 	if err == nil {
-		res, err = core.RunContext(pctx, cfg)
+		res, err = core.RunContext(pctx, ccfg)
 	}
 	if err == nil {
-		sh, err = variation.NewSharedContext(m.computeCtx(pctx, spec), res.Placement, res.Layout.CellCenter, t)
+		sh, err = variation.NewSharedContext(m.computeCtx(pctx, spec), res.Placement, res.Layout.CellCenter, ccfg.Tech)
 	}
 	root.Fail(err)
 	root.End()
@@ -596,7 +600,7 @@ func (m *Manager) runGenerate(st *jobState) {
 	tr := m.newTrace(st.job.ID)
 	ctx := obs.WithTrace(st.ctx, tr)
 	ctx, root := obs.StartSpan(ctx, "jobs.generate")
-	cfg := spec.generateConfig(m.opts.ComputeWorkers, m.opts.Memo)
+	cfg := m.config(spec)
 	var res *ccdac.Result
 	var err error
 	if spec.BestBC {
@@ -618,6 +622,14 @@ func (m *Manager) runGenerate(st *jobState) {
 		return
 	}
 	m.finishOK(st, raw)
+}
+
+// config is the spec's facade configuration under the manager's
+// compute budget and memo setting.
+func (m *Manager) config(spec Spec) ccdac.Config {
+	cfg := spec.Config()
+	cfg.Workers, cfg.Memo = m.opts.ComputeWorkers, m.opts.Memo
+	return cfg
 }
 
 // computeCtx arms a tail context the way core.RunContext arms its own:

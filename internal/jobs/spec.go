@@ -25,10 +25,6 @@ import (
 	"time"
 
 	"ccdac"
-	"ccdac/internal/core"
-	"ccdac/internal/memo"
-	"ccdac/internal/place"
-	"ccdac/internal/tech"
 	"ccdac/internal/yield"
 )
 
@@ -88,23 +84,13 @@ type Spec struct {
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 }
 
-// withDefaults fills the documented defaults so records, prefix keys
-// and equality checks all see one canonical form.
+// withDefaults fills the job-tier defaults so records and equality
+// checks see one form: the priority, and the tail of the spec's kind
+// (the other kind's tail is zeroed). Design fields stay as submitted;
+// ccdac.Config.Canonical resolves their defaults.
 func (s Spec) withDefaults() Spec {
 	if s.Priority == "" {
 		s.Priority = "batch"
-	}
-	if s.Style == "" {
-		s.Style = string(ccdac.Spiral)
-	}
-	if s.TechNode == "" {
-		s.TechNode = "finfet12"
-	}
-	if s.FFT == "" {
-		s.FFT = "auto"
-	}
-	if s.MaxParallel <= 1 {
-		s.MaxParallel = 0
 	}
 	if s.Kind == KindYield {
 		if s.Samples == 0 {
@@ -125,21 +111,13 @@ func (s Spec) withDefaults() Spec {
 		s.Samples, s.Seed, s.SpecINL, s.SpecDNL = 0, 0, 0, 0
 		s.ThetaDeg, s.CheckpointEvery = 0, 0
 	}
-	if s.BestBC {
-		s.Style = string(ccdac.BlockChessboard)
-		s.CoreBits, s.BlockCells = 0, 0
-	}
-	if s.Style != string(ccdac.BlockChessboard) {
-		s.CoreBits, s.BlockCells = 0, 0
-	}
-	if s.Style != string(ccdac.Annealed) {
-		s.AnnealSeed, s.AnnealMoves = 0, 0
-	}
 	return s
 }
 
-// Validate rejects specs the runner could not execute. It assumes
-// withDefaults already ran (Manager.Submit applies both).
+// Validate rejects specs the runner could not execute: the job fields
+// here, the design fields exactly as POST /v1/generate does
+// (ccdac.Config.Validate). It assumes withDefaults already ran
+// (Manager.Submit applies both).
 func (s Spec) Validate() error {
 	switch s.Kind {
 	case KindGenerate:
@@ -159,10 +137,7 @@ func (s Spec) Validate() error {
 	if _, err := s.class(); err != nil {
 		return err
 	}
-	if s.FFT != "auto" && s.FFT != "off" {
-		return fmt.Errorf("jobs: unknown fft directive %q (want \"auto\" or \"off\")", s.FFT)
-	}
-	return nil
+	return s.Config().Validate()
 }
 
 // class resolves the priority class.
@@ -178,70 +153,11 @@ func (s Spec) class() (int, error) {
 	return 0, fmt.Errorf("jobs: unknown priority %q (want \"interactive\", \"batch\" or \"background\")", s.Priority)
 }
 
-// prefixKey identifies the expensive shared prefix of a yield job:
-// two jobs with equal keys place, route, extract and build covariance
-// identically, so the coalescer may run that work once for both. Tail
-// fields (seed, samples, specs, theta) are deliberately absent.
-func (s Spec) prefixKey() string {
-	return memo.NewKey("jobs/prefix/v1").
-		Int(s.Bits).Str(s.Style).Int(s.CoreBits).Int(s.BlockCells).
-		Int(s.MaxParallel).I64(s.AnnealSeed).Int(s.AnnealMoves).
-		Str(s.TechNode).Str(s.FFT).Sum()
-}
-
-// coreConfig maps the prefix fields onto the internal flow config (the
-// same mapping ccdac.Config undergoes) plus the resolved technology.
-// Yield jobs always skip the generate-side NL sweep: the Monte-Carlo
-// tail is the nonlinearity analysis.
-func (s Spec) coreConfig(workers int, useMemo bool) (core.Config, *tech.Technology, error) {
-	out := core.Config{
-		Bits:        s.Bits,
-		MaxParallel: s.MaxParallel,
-		Workers:     workers,
-		Memo:        useMemo,
-		FFT:         s.FFT,
-	}
-	t := tech.FinFET12()
-	switch s.TechNode {
-	case "finfet12":
-	case "bulk65":
-		t = tech.Bulk65()
-		out.Tech = t
-	default:
-		return core.Config{}, nil, fmt.Errorf("jobs: %w: unknown technology node %q", ccdac.ErrConfig, s.TechNode)
-	}
-	switch ccdac.Style(s.Style) {
-	case ccdac.Spiral:
-		out.Style = place.Spiral
-	case ccdac.Chessboard:
-		out.Style = place.Chessboard
-	case ccdac.BlockChessboard:
-		out.Style = place.BlockChessboard
-		out.BC = place.BCParams{CoreBits: s.CoreBits, BlockCells: s.BlockCells}
-	case ccdac.Annealed:
-		out.Style = place.Annealed
-		out.Anneal = place.DefaultAnnealConfig()
-		if s.AnnealSeed != 0 {
-			out.Anneal.Seed = s.AnnealSeed
-		}
-		if s.AnnealMoves != 0 {
-			out.Anneal.Moves = s.AnnealMoves
-		}
-	default:
-		return core.Config{}, nil, fmt.Errorf("jobs: %w: unknown placement style %q", ccdac.ErrConfig, s.Style)
-	}
-	if s.Kind == KindYield {
-		out.SkipNL = true
-	} else {
-		out.ThetaSteps = s.ThetaSteps
-		out.SkipNL = s.SkipNonlinearity
-	}
-	return out, t, nil
-}
-
-// generateConfig maps a generate job onto the public API config.
-func (s Spec) generateConfig(workers int, useMemo bool) ccdac.Config {
-	return ccdac.Config{
+// Config maps the spec's design fields onto the facade configuration.
+// A best-BC sweep runs under the block-chessboard style, which
+// GenerateBestBC forces.
+func (s Spec) Config() ccdac.Config {
+	cfg := ccdac.Config{
 		Bits:             s.Bits,
 		Style:            ccdac.Style(s.Style),
 		CoreBits:         s.CoreBits,
@@ -253,9 +169,19 @@ func (s Spec) generateConfig(workers int, useMemo bool) ccdac.Config {
 		SkipNonlinearity: s.SkipNonlinearity,
 		TechNode:         s.TechNode,
 		FFT:              s.FFT,
-		Workers:          workers,
-		Memo:             useMemo,
 	}
+	if s.BestBC {
+		cfg.Style = ccdac.BlockChessboard
+	}
+	return cfg
+}
+
+// prefixKey identifies the expensive shared prefix of a yield job:
+// two jobs with equal keys place, route, extract and build covariance
+// identically, so the coalescer may run that work once for both. Tail
+// fields (seed, samples, specs, theta) are deliberately absent.
+func (s Spec) prefixKey() string {
+	return s.Config().LayoutKey("jobs/prefix/v1")
 }
 
 // State is a job's lifecycle phase.

@@ -42,6 +42,17 @@ func (s Style) String() string {
 	return fmt.Sprintf("style(%d)", int(s))
 }
 
+// ParseStyle is the inverse of Style.String, so the style names live
+// in one table.
+func ParseStyle(name string) (Style, error) {
+	for s := Spiral; s <= Annealed; s++ {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown placement style %q", name)
+}
+
 // MinBits and MaxBits bound the supported DAC resolutions. The lower
 // bound keeps the capacitor list non-degenerate; the upper bound keeps
 // the O(4^N) covariance evaluation tractable.

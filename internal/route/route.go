@@ -192,15 +192,10 @@ func RouteContext(ctx context.Context, m *ccmatrix.Matrix, t *tech.Technology, p
 	return RouteWithOptionsContext(ctx, m, t, par, Options{})
 }
 
-// RouteWithOptions runs the router with ablation options — used to
-// quantify what Algorithm 1's channel selection and bottom-stub
-// tie-breakers buy over a naive one-trunk-per-group router.
-func RouteWithOptions(m *ccmatrix.Matrix, t *tech.Technology, par []int, opts Options) (*Layout, error) {
-	return RouteWithOptionsContext(context.Background(), m, t, par, opts)
-}
-
-// RouteWithOptionsContext is RouteWithOptions under a context carrying
-// the observability trace.
+// RouteWithOptionsContext runs the router with ablation options — used
+// to quantify what Algorithm 1's channel selection and bottom-stub
+// tie-breakers buy over a naive one-trunk-per-group router — under a
+// context carrying the observability trace.
 func RouteWithOptionsContext(ctx context.Context, m *ccmatrix.Matrix, t *tech.Technology, par []int, opts Options) (*Layout, error) {
 	if err := fault.Check(fault.StageRoute); err != nil {
 		return nil, fmt.Errorf("route: %w", err)

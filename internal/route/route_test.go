@@ -1,6 +1,7 @@
 package route
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -369,7 +370,7 @@ func TestAblationOptionsQuantifyAlgorithm1(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		naive, err := RouteWithOptions(m, tch, nil, Options{NoDirectStubs: true, NoPartnering: true})
+		naive, err := RouteWithOptionsContext(context.Background(), m, tch, nil, Options{NoDirectStubs: true, NoPartnering: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -396,7 +397,7 @@ func TestAblationLayoutsStillComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := RouteWithOptions(m, tech.FinFET12(), nil, Options{NoDirectStubs: true, NoPartnering: true})
+	l, err := RouteWithOptionsContext(context.Background(), m, tech.FinFET12(), nil, Options{NoDirectStubs: true, NoPartnering: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,27 +71,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		go func(i int) {
 			defer wg.Done()
 			req := batch.Requests[i]
-			if !validCacheDirective(req.Cache) {
-				items[i] = BatchItem{
-					Status: http.StatusBadRequest,
-					Error:  fmt.Sprintf("serve: unknown cache directive %q (want \"default\" or \"bypass\")", req.Cache),
-				}
+			cfg, err := s.resolve(req)
+			if err != nil {
+				items[i] = BatchItem{Status: http.StatusBadRequest, Error: err.Error()}
 				return
-			}
-			if !validFFTDirective(req.FFT) {
-				items[i] = BatchItem{
-					Status: http.StatusBadRequest,
-					Error:  fmt.Sprintf("serve: unknown fft directive %q (want \"auto\" or \"off\")", req.FFT),
-				}
-				return
-			}
-			cfg := req.config()
-			cfg.Workers = s.opts.Workers
-			if req.Workers != 0 && req.Workers < cfg.Workers {
-				cfg.Workers = req.Workers
 			}
 			itemStart := time.Now()
-			err := s.jobs.Do(r.Context(), func() error {
+			err = s.jobs.Do(r.Context(), func() error {
 				out, err := s.generate(r.Context(), req, cfg, ri)
 				if err != nil {
 					return err

@@ -60,51 +60,15 @@ type flight struct {
 	err    error
 }
 
-// cacheKey canonicalizes a generate request into a content-addressed
-// key: defaults are made explicit, fields the selected style ignores
-// are zeroed, and fields that cannot change the result (worker budget,
-// cache directive) are excluded — so bodies that differ only in JSON
-// field order, omitted defaults, or irrelevant knobs share one entry.
+// cacheKey is a request's content-addressed result-cache key: its
+// design fields in ccdac.Config.Canonical form plus best_bc, so bodies
+// that differ only in JSON field order, omitted defaults, or fields the
+// selected style ignores share one entry. The worker budget and cache
+// directive cannot change a result and are not hashed. v2: the fft
+// directive joined the key — the engines agree only to tolerance, so
+// their results must not share cache entries.
 func cacheKey(req GenerateRequest) string {
-	n := req
-	n.Workers = 0 // results are identical at any worker count
-	n.Cache = ""
-	if n.Style == "" {
-		n.Style = string(ccdac.Spiral)
-	}
-	if n.TechNode == "" {
-		n.TechNode = "finfet12"
-	}
-	if n.SkipNonlinearity {
-		n.ThetaSteps = 0 // theta sweep never runs
-	} else if n.ThetaSteps == 0 {
-		n.ThetaSteps = 8 // pipeline default
-	}
-	if n.MaxParallel <= 1 {
-		n.MaxParallel = 0 // both mean "parallel routing off"
-	}
-	if n.BestBC {
-		// GenerateBestBC forces the style and sweeps the structure grid
-		// itself; the request's style and BC fields are ignored.
-		n.Style = string(ccdac.BlockChessboard)
-		n.CoreBits, n.BlockCells = 0, 0
-	}
-	if n.Style != string(ccdac.BlockChessboard) {
-		n.CoreBits, n.BlockCells = 0, 0
-	}
-	if n.Style != string(ccdac.Annealed) {
-		n.AnnealSeed, n.AnnealMoves = 0, 0
-	}
-	if n.FFT == "" {
-		n.FFT = "auto" // pipeline default
-	}
-	// v2: the fft directive joined the key — the engines agree only to
-	// tolerance, so their results must not share cache entries.
-	return memo.NewKey("serve/generate/v2").
-		Int(n.Bits).Str(n.Style).Int(n.CoreBits).Int(n.BlockCells).
-		Int(n.MaxParallel).I64(n.AnnealSeed).Int(n.AnnealMoves).
-		Int(n.ThetaSteps).Bool(n.SkipNonlinearity).Str(n.TechNode).
-		Bool(n.BestBC).Str(n.FFT).Sum()
+	return req.Config().ResultKey("serve/generate/v2", req.BestBC)
 }
 
 // generate routes one request through the cache and singleflight
@@ -119,6 +83,13 @@ func (s *Server) generate(ctx context.Context, req GenerateRequest, cfg ccdac.Co
 		// An explicit bypass recomputes for real: no result cache, no
 		// flight sharing, no stage memoization.
 		return s.run(ctx, req, cfg, "bypass", ri)
+	}
+	if cfg.Validate() != nil {
+		// An invalid config must not reach the cache: it may
+		// canonicalize to the key of a cached valid one. The run rejects
+		// it at its first step and leaves an error trace the recorder
+		// retains for cause.
+		return s.run(ctx, req, cfg, "", ri)
 	}
 	key := cacheKey(req)
 	if v, ok := s.cache.Get(key); ok {

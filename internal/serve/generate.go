@@ -47,8 +47,12 @@ type GenerateRequest struct {
 	FFT string `json:"fft,omitempty"`
 }
 
-func (g GenerateRequest) config() ccdac.Config {
-	return ccdac.Config{
+// Config maps the request's design fields onto the facade
+// configuration. A best-BC sweep runs under the block-chessboard style,
+// which GenerateBestBC forces. The worker budget is the server's to
+// grant (see resolve).
+func (g GenerateRequest) Config() ccdac.Config {
+	cfg := ccdac.Config{
 		Bits:             g.Bits,
 		Style:            ccdac.Style(g.Style),
 		CoreBits:         g.CoreBits,
@@ -61,6 +65,10 @@ func (g GenerateRequest) config() ccdac.Config {
 		TechNode:         g.TechNode,
 		FFT:              g.FFT,
 	}
+	if g.BestBC {
+		cfg.Style = ccdac.BlockChessboard
+	}
+	return cfg
 }
 
 // GenerateResponse is the JSON body of a successful generate request:
@@ -82,16 +90,23 @@ type GenerateResponse struct {
 	Counters    map[string]int64 `json:"counters,omitempty"`
 }
 
-// validCacheDirective reports whether a request's cache field is one of
-// the accepted values.
-func validCacheDirective(c string) bool {
-	return c == "" || c == "default" || c == "bypass"
-}
-
-// validFFTDirective reports whether a request's fft field is one of the
-// accepted covariance-engine selectors.
-func validFFTDirective(f string) bool {
-	return f == "" || f == "auto" || f == "off"
+// resolve is the request resolution /v1/generate and /v1/batch share:
+// it checks the cache directive and maps the request onto the facade
+// configuration under the server's per-request worker budget. The
+// design fields are validated on the way into the cache (see
+// Server.generate), so a rejected config still leaves an error trace.
+func (s *Server) resolve(req GenerateRequest) (ccdac.Config, error) {
+	if req.Cache != "" && req.Cache != "default" && req.Cache != "bypass" {
+		return ccdac.Config{}, fmt.Errorf("serve: unknown cache directive %q (want \"default\" or \"bypass\")", req.Cache)
+	}
+	cfg := req.Config()
+	// The server's cap, unless the request asked for less (a negative
+	// ask means serial analysis).
+	cfg.Workers = s.opts.Workers
+	if req.Workers != 0 && req.Workers < cfg.Workers {
+		cfg.Workers = req.Workers
+	}
+	return cfg, nil
 }
 
 // handleGenerate decodes one request and routes it through the cache
@@ -106,22 +121,10 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("serve: decoding request body: %w", err))
 		return
 	}
-	if !validCacheDirective(req.Cache) {
-		s.writeError(w, r, http.StatusBadRequest,
-			fmt.Errorf("serve: unknown cache directive %q (want \"default\" or \"bypass\")", req.Cache))
+	cfg, err := s.resolve(req)
+	if err != nil {
+		s.writeError(w, r, http.StatusBadRequest, err)
 		return
-	}
-	if !validFFTDirective(req.FFT) {
-		s.writeError(w, r, http.StatusBadRequest,
-			fmt.Errorf("serve: unknown fft directive %q (want \"auto\" or \"off\")", req.FFT))
-		return
-	}
-	cfg := req.config()
-	// Per-request worker budget: the server's cap, unless the request
-	// asked for less (a negative ask means serial analysis).
-	cfg.Workers = s.opts.Workers
-	if req.Workers != 0 && req.Workers < cfg.Workers {
-		cfg.Workers = req.Workers
 	}
 
 	start := time.Now()

@@ -188,6 +188,49 @@ func TestJobSubmitPollResult(t *testing.T) {
 	}
 }
 
+// TestJobSubmitRejectsInvalidDesign: /v1/jobs validates design fields
+// exactly like /v1/generate. Every spec the facade rejects answers 400
+// with the config stage named, for both job kinds, and consumes no
+// queue capacity.
+func TestJobSubmitRejectsInvalidDesign(t *testing.T) {
+	defer leakcheck.Check(t)()
+	srv := New(Options{Logger: quietLogger(), JobMaxBatch: 16, JobMaxWait: time.Hour})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+
+	tails := map[string]string{
+		"yield":    `"kind":"yield","samples":10,"spec_inl":0.05`,
+		"generate": `"kind":"generate"`,
+	}
+	for _, design := range []string{
+		`"bits":1`,
+		`"bits":13`,
+		`"bits":6,"max_parallel":99`,
+		`"bits":6,"core_bits":3,"block_cells":2`,
+		`"bits":6,"core_bits":2,"block_cells":999`,
+	} {
+		for kind, tail := range tails {
+			body := "{" + tail + "," + design + "}"
+			resp, data := postJob(t, ts.URL, body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s job %s: status %d, want 400: %s", kind, design, resp.StatusCode, data)
+				continue
+			}
+			var er errorResponse
+			if err := json.Unmarshal(data, &er); err != nil {
+				t.Fatalf("%s job %s: %v: %s", kind, design, err, data)
+			}
+			if er.Stage != "config" {
+				t.Errorf("%s job %s: stage %q, want config: %s", kind, design, er.Stage, data)
+			}
+		}
+	}
+	if st := srv.jobs.Stats(); st.Submitted != 0 || st.QueueDepth != 0 {
+		t.Fatalf("rejected specs consumed queue capacity: submitted %d, depth %d", st.Submitted, st.QueueDepth)
+	}
+}
+
 func mustReq(t *testing.T, method, url, body string) *http.Request {
 	t.Helper()
 	var rd io.Reader

@@ -305,11 +305,15 @@ func TestPanicContainment(t *testing.T) {
 }
 
 // TestBadRequests: malformed JSON, unknown fields and invalid configs
-// are the client's fault.
+// are the client's fault — also an invalid config whose canonical form
+// is the key of a warm cache entry.
 func TestBadRequests(t *testing.T) {
 	srv := New(Options{Logger: quietLogger()})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	if resp, data := postGenerate(t, ts.URL, `{"bits":5,"skip_nonlinearity":true}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warming request: status %d: %s", resp.StatusCode, data)
+	}
 
 	for _, tc := range []struct {
 		name, body string
@@ -318,6 +322,9 @@ func TestBadRequests(t *testing.T) {
 		{"malformed", `{"bits":`, ""},
 		{"unknown field", `{"bits":8,"nope":1}`, ""},
 		{"invalid config", `{"bits":99}`, "config"},
+		{"odd core bits on a warm key", `{"bits":5,"skip_nonlinearity":true,"core_bits":3,"block_cells":2}`, "config"},
+		{"negative parallel on a warm key", `{"bits":5,"skip_nonlinearity":true,"max_parallel":-1}`, "config"},
+		{"bad theta on a warm key", `{"bits":5,"skip_nonlinearity":true,"theta_steps":-1}`, "config"},
 	} {
 		resp, data := postGenerate(t, ts.URL, tc.body)
 		if resp.StatusCode != http.StatusBadRequest {

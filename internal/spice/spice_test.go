@@ -1,6 +1,7 @@
 package spice
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -108,7 +109,7 @@ func TestSettlingMatchesElmoreModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := extract.Extract(l)
+	sum, err := extract.ExtractContext(context.Background(), l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestNetlistCountsMatchNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := extract.Extract(l)
+	sum, err := extract.ExtractContext(context.Background(), l)
 	if err != nil {
 		t.Fatal(err)
 	}

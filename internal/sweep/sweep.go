@@ -154,15 +154,10 @@ type BCPoint struct {
 	ViaCuts    int
 }
 
-// BCAblation evaluates every feasible block-chessboard structure at
-// one bit count — the tradeoff space of Fig. 4 and the "best BC"
-// search.
-func BCAblation(bits, parallel int) ([]BCPoint, error) {
-	return BCAblationContext(context.Background(), bits, parallel)
-}
-
-// BCAblationContext is BCAblation under a context; each candidate
-// structure appears as a "bestbc.candidate" span in an attached trace.
+// BCAblationContext evaluates every feasible block-chessboard structure
+// at one bit count — the tradeoff space of Fig. 4 and the "best BC"
+// search. Each candidate structure appears as a "bestbc.candidate" span
+// in an attached trace.
 func BCAblationContext(ctx context.Context, bits, parallel int) ([]BCPoint, error) {
 	_, all, err := core.RunBestBCContext(ctx, core.Config{Bits: bits, MaxParallel: parallel})
 	if err != nil {
@@ -285,12 +280,7 @@ func SizeForSpec(cfg core.Config, specLSB, maxFactor float64) (*SizeResult, erro
 	return best, nil
 }
 
-// StudyViaR runs the via-resistance study.
-func StudyViaR(bits int, factors []float64) (*ViaRStudy, error) {
-	return StudyViaRContext(context.Background(), bits, factors)
-}
-
-// StudyViaRContext is StudyViaR under a context; each factor's three
+// StudyViaRContext runs the via-resistance study; each factor's three
 // runs share one "sweep.point" span in an attached trace.
 func StudyViaRContext(ctx context.Context, bits int, factors []float64) (*ViaRStudy, error) {
 	s := &ViaRStudy{Factors: append([]float64(nil), factors...)}

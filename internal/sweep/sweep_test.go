@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -97,7 +98,7 @@ func TestViaRStudy(t *testing.T) {
 	// The paper's FinFET motivation: parallel routing (p² via arrays)
 	// grows more valuable as vias get more resistive, and keeps the
 	// spiral's advantage where the single-wire flow loses it.
-	s, err := StudyViaR(6, []float64{0.25, 1, 4, 16})
+	s, err := StudyViaRContext(context.Background(), 6, []float64{0.25, 1, 4, 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestViaRStudy(t *testing.T) {
 }
 
 func TestBCAblationSpansTradeoff(t *testing.T) {
-	pts, err := BCAblation(6, 2)
+	pts, err := BCAblationContext(context.Background(), 6, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestBCAblationSpansTradeoff(t *testing.T) {
 }
 
 func TestCoarserBlocksUseFewerVias(t *testing.T) {
-	pts, err := BCAblation(6, 1)
+	pts, err := BCAblationContext(context.Background(), 6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

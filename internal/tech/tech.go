@@ -198,6 +198,18 @@ func Bulk65() *Technology {
 	}
 }
 
+// ByName resolves a technology node name — "finfet12" or "bulk65", the
+// values of ccdac.Config.TechNode — to a fresh parameter set.
+func ByName(name string) (*Technology, error) {
+	switch name {
+	case "finfet12":
+		return FinFET12(), nil
+	case "bulk65":
+		return Bulk65(), nil
+	}
+	return nil, fmt.Errorf("unknown technology node %q", name)
+}
+
 // Validate checks the internal consistency of a technology description.
 func (t *Technology) Validate() error {
 	if t == nil {

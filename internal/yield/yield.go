@@ -35,18 +35,12 @@ type Result struct {
 	WorstDNL, WorstINL float64
 }
 
-// Estimate draws correlated mismatch samples (random variation per
-// Eqs. 4-6 plus the deterministic gradient at thetaRad) and counts how
-// many meet the spec over a full-code INL/DNL sweep.
-func Estimate(m *ccmatrix.Matrix, pos variation.Positioner, t *tech.Technology,
-	thetaRad float64, spec Spec, par dacmodel.Parasitics, samples int, seed int64) (*Result, error) {
-	return EstimateContext(context.Background(), m, pos, t, thetaRad, spec, par, samples, seed)
-}
-
-// EstimateContext is Estimate under a context: the covariance build and
-// the Monte-Carlo sample loop run on the context's worker budget and
-// honor cancellation; the estimate for a fixed seed is identical at any
-// worker count.
+// EstimateContext draws correlated mismatch samples (random variation
+// per Eqs. 4-6 plus the deterministic gradient at thetaRad) and counts
+// how many meet the spec over a full-code INL/DNL sweep. The covariance
+// build and the Monte-Carlo sample loop run on the context's worker
+// budget and honor cancellation; the estimate for a fixed seed is
+// identical at any worker count.
 func EstimateContext(ctx context.Context, m *ccmatrix.Matrix, pos variation.Positioner, t *tech.Technology,
 	thetaRad float64, spec Spec, par dacmodel.Parasitics, samples int, seed int64) (*Result, error) {
 	if err := spec.validate(); err != nil {

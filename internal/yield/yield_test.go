@@ -1,6 +1,7 @@
 package yield
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -19,7 +20,7 @@ func TestYieldExtremes(t *testing.T) {
 	pos := variation.GridPositioner(tch)
 
 	// Generous spec: everything passes.
-	loose, err := Estimate(m, pos, tch, math.Pi/4,
+	loose, err := EstimateContext(context.Background(), m, pos, tch, math.Pi/4,
 		Spec{MaxAbsDNL: 2, MaxAbsINL: 2}, dacmodel.Parasitics{}, 50, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -28,7 +29,7 @@ func TestYieldExtremes(t *testing.T) {
 		t.Errorf("loose spec yield = %g, want 1", loose.Yield)
 	}
 	// Impossible spec: nothing passes.
-	tight, err := Estimate(m, pos, tch, math.Pi/4,
+	tight, err := EstimateContext(context.Background(), m, pos, tch, math.Pi/4,
 		Spec{MaxAbsDNL: 1e-9, MaxAbsINL: 1e-9}, dacmodel.Parasitics{}, 50, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -100,11 +101,11 @@ func TestDispersionImprovesYield(t *testing.T) {
 	// Pick a spec near the spiral's typical DNL so the two differ.
 	spec := Spec{MaxAbsDNL: 0.004, MaxAbsINL: 0.02}
 	const n = 120
-	ySp, err := Estimate(sp, pos, tch, math.Pi/4, spec, dacmodel.Parasitics{}, n, 7)
+	ySp, err := EstimateContext(context.Background(), sp, pos, tch, math.Pi/4, spec, dacmodel.Parasitics{}, n, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	yCb, err := Estimate(cb, pos, tch, math.Pi/4, spec, dacmodel.Parasitics{}, n, 7)
+	yCb, err := EstimateContext(context.Background(), cb, pos, tch, math.Pi/4, spec, dacmodel.Parasitics{}, n, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,10 +121,10 @@ func TestEstimateRejectsBadInputs(t *testing.T) {
 	}
 	tch := tech.FinFET12()
 	pos := variation.GridPositioner(tch)
-	if _, err := Estimate(m, pos, tch, 0, Spec{}, dacmodel.Parasitics{}, 10, 1); err == nil {
+	if _, err := EstimateContext(context.Background(), m, pos, tch, 0, Spec{}, dacmodel.Parasitics{}, 10, 1); err == nil {
 		t.Error("zero spec must be rejected")
 	}
-	if _, err := Estimate(m, pos, tch, 0, Spec{MaxAbsDNL: 1, MaxAbsINL: 1}, dacmodel.Parasitics{}, 0, 1); err == nil {
+	if _, err := EstimateContext(context.Background(), m, pos, tch, 0, Spec{MaxAbsDNL: 1, MaxAbsINL: 1}, dacmodel.Parasitics{}, 0, 1); err == nil {
 		t.Error("zero samples must be rejected")
 	}
 }
