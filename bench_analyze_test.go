@@ -16,7 +16,9 @@ import (
 	"time"
 
 	"ccdac/internal/ccmatrix"
+	"ccdac/internal/dacmodel"
 	"ccdac/internal/extract"
+	"ccdac/internal/fftk"
 	"ccdac/internal/geom"
 	"ccdac/internal/par"
 	"ccdac/internal/place"
@@ -47,6 +49,79 @@ func BenchmarkAnalyzeCov(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// routedSemi12 routes a 12-bit spiral and returns its separable
+// lattice, the flow's mismatch kernel over it and the capacitor
+// classes — the inputs of the routed-layout covariance.
+func routedSemi12(b *testing.B) (fftk.SemiGrid, func(float64) float64, [][]int) {
+	t := tech.FinFET12()
+	m, err := place.NewSpiral(12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	l, err := route.Route(m, t, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := fftk.SemiGrid{Rows: m.Rows, ColX: make([]float64, m.Cols)}
+	for c := range g.ColX {
+		g.ColX[c] = l.CellCenter(geom.Cell{Row: 0, Col: c}).X
+	}
+	g.DY = l.CellCenter(geom.Cell{Row: 1, Col: 0}).Y - l.CellCenter(geom.Cell{Row: 0, Col: 0}).Y
+	classes := make([][]int, m.Bits+1)
+	for k := range classes {
+		for _, c := range m.CellsOf(k) {
+			classes[k] = append(classes[k], c.Row*m.Cols+c.Col)
+		}
+	}
+	sigmaU2 := t.SigmaU() * t.SigmaU()
+	rho := t.RhoSqKernel()
+	return g, func(d2 float64) float64 { return sigmaU2 * rho(d2) }, classes
+}
+
+// BenchmarkSemiQuadForms measures the routed 12-bit separable
+// covariance: the pair-parallel spectra build and the half-spectrum
+// quadratic-form contraction, at the default worker budget.
+func BenchmarkSemiQuadForms(b *testing.B) {
+	g, kernel, classes := routedSemi12(b)
+	workers := par.Resolve(0)
+	b.Run("build", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := fftk.NewSemiEmbedding(g, kernel, fftk.EmbedOptions{Workers: workers}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	emb, err := fftk.NewSemiEmbedding(g, kernel, fftk.EmbedOptions{Workers: workers})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("quadforms", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			emb.QuadForms(classes, workers)
+		}
+	})
+}
+
+// BenchmarkNonlinearity12 measures one 12-bit 3σ INL/DNL code sweep
+// (one gradient angle).
+func BenchmarkNonlinearity12(b *testing.B) {
+	t := tech.FinFET12()
+	m, err := place.NewSpiral(12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := variation.Analyze(m, variation.GridPositioner(t), t, math.Pi/4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dacmodel.Nonlinearity(a, dacmodel.Parasitics{}, t.VRef); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime/debug"
 	"strconv"
 	"time"
@@ -530,31 +529,4 @@ func ParallelSweep(cfg Config, ks []int) ([]float64, error) {
 		out[i] = r.F3dBHz
 	}
 	return out, nil
-}
-
-// MismatchSpan returns the relative systematic spread of a result's
-// placement at the worst gradient angle, a diagnostic for common-
-// centroid quality: max_k |DeltaC_k^sys| / C_k over capacitors k >= 2.
-func MismatchSpan(res *Result, steps int) (float64, error) {
-	if steps <= 0 {
-		steps = 8
-	}
-	t := res.Config.Tech
-	if t == nil {
-		t = tech.FinFET12()
-	}
-	sweep, err := variation.SweepTheta(res.Placement, res.Layout.CellCenter, t, steps)
-	if err != nil {
-		return 0, err
-	}
-	worst := 0.0
-	for _, a := range sweep {
-		for k := 2; k <= a.Bits; k++ {
-			rel := math.Abs(a.DCSys(k)) / (float64(a.Counts[k]) * a.CuFF)
-			if rel > worst {
-				worst = rel
-			}
-		}
-	}
-	return worst, nil
 }

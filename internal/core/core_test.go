@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
 	"ccdac/internal/place"
+	"ccdac/internal/tech"
+	"ccdac/internal/variation"
 )
 
 func run(t *testing.T, cfg Config) *Result {
@@ -152,9 +155,34 @@ func TestParallelSweepMonotoneGain(t *testing.T) {
 	}
 }
 
+// mismatchSpan returns the relative systematic spread of a result's
+// placement at the worst of steps gradient angles, a diagnostic for
+// common-centroid quality: max_k |DeltaC_k^sys| / C_k over capacitors
+// k >= 2.
+func mismatchSpan(res *Result, steps int) (float64, error) {
+	t := res.Config.Tech
+	if t == nil {
+		t = tech.FinFET12()
+	}
+	sweep, err := variation.SweepThetaContext(context.Background(), res.Placement, res.Layout.CellCenter, t, steps)
+	if err != nil {
+		return 0, err
+	}
+	worst := 0.0
+	for _, a := range sweep {
+		for k := 2; k <= a.Bits; k++ {
+			rel := math.Abs(a.DCSys(k)) / (float64(a.Counts[k]) * a.CuFF)
+			if rel > worst {
+				worst = rel
+			}
+		}
+	}
+	return worst, nil
+}
+
 func TestMismatchSpanSmall(t *testing.T) {
 	r := run(t, Config{Bits: 6, Style: place.Spiral, SkipNL: true})
-	span, err := MismatchSpan(r, 6)
+	span, err := mismatchSpan(r, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

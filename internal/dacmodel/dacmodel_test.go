@@ -2,10 +2,15 @@ package dacmodel
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/big"
+	"math/bits"
+	"math/rand"
 	"testing"
 
 	"ccdac/internal/ccmatrix"
+	"ccdac/internal/linalg"
 	"ccdac/internal/place"
 	"ccdac/internal/tech"
 	"ccdac/internal/variation"
@@ -140,7 +145,7 @@ func TestWorstOverTheta(t *testing.T) {
 		t.Fatal(err)
 	}
 	tch := tech.FinFET12()
-	as, err := variation.SweepTheta(m, variation.GridPositioner(tch), tch, 8)
+	as, err := variation.SweepThetaContext(context.Background(), m, variation.GridPositioner(tch), tch, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,5 +277,358 @@ func TestEndpointCorrectionRemovesGainError(t *testing.T) {
 	}
 	if corrected[0].MaxAbsINL > 0.01 {
 		t.Errorf("endpoint INL %g: gain error not removed", corrected[0].MaxAbsINL)
+	}
+}
+
+// bitsOf expands code i into the switch states D_1..D_N.
+func bitsOf(bits, code int) []bool {
+	d := make([]bool, bits+1)
+	for k := 1; k <= bits; k++ {
+		d[k] = code&(1<<(k-1)) != 0
+	}
+	return d
+}
+
+// refWeights is the reference formulation's weight vector of code i:
+// w_k = (D_k − R0)/C_T, w_0 = −R0/C_T, as float arithmetic.
+func refWeights(a *variation.Analysis, i int) []float64 {
+	n := a.Bits
+	cT := 0.0
+	for k := 0; k <= n; k++ {
+		cT += float64(a.Counts[k]) * a.CuFF
+	}
+	d := bitsOf(n, i)
+	cOn := 0.0
+	for k := 1; k <= n; k++ {
+		if d[k] {
+			cOn += float64(a.Counts[k]) * a.CuFF
+		}
+	}
+	r0 := cOn / cT
+	w := make([]float64, n+1)
+	w[0] = -r0 / cT
+	for k := 1; k <= n; k++ {
+		dk := 0.0
+		if d[k] {
+			dk = 1
+		}
+		w[k] = (dk - r0) / cT
+	}
+	return w
+}
+
+func refQuadForm(a *variation.Analysis, w []float64) float64 {
+	v := 0.0
+	for j := range w {
+		if w[j] == 0 {
+			continue
+		}
+		for k := range w {
+			v += w[j] * w[k] * a.Cov.At(j, k)
+		}
+	}
+	return math.Max(0, v)
+}
+
+// nonlinearityRef is the O(N²)-per-code formulation Nonlinearity
+// replaced: the full weight vector and its quadratic form per code,
+// and the DNL σ from the float difference of adjacent weight vectors.
+func nonlinearityRef(a *variation.Analysis, par Parasitics) *Result {
+	n := a.Bits
+	codes := 1 << n
+	cNom := make([]float64, n+1)
+	cT := 0.0
+	for k := 0; k <= n; k++ {
+		cNom[k] = float64(a.Counts[k]) * a.CuFF
+		cT += cNom[k]
+	}
+	sysT := 0.0
+	for k := 0; k <= n; k++ {
+		sysT += a.DCSys(k)
+	}
+	parsT := par.CTBOnfF + par.CTBOfffF + par.CTSfF
+	lsb := 1.0 / float64(codes)
+	res := &Result{ThetaRad: a.ThetaRad}
+	prevSys := 0.0
+	prevW := make([]float64, n+1)
+	diff := make([]float64, n+1)
+	for i := 0; i < codes; i++ {
+		d := bitsOf(n, i)
+		cOn, sysOn := 0.0, 0.0
+		for k := 1; k <= n; k++ {
+			if d[k] {
+				cOn += cNom[k]
+				sysOn += a.DCSys(k)
+			}
+		}
+		rSys := (cOn + sysOn + par.CTBOnfF) / (cT + sysT + parsT)
+		w := refWeights(a, i)
+		sigma := math.Sqrt(refQuadForm(a, w))
+		if i > 0 {
+			inl := (math.Abs(rSys-IdealOut(n, i)) + 3*sigma) / lsb
+			if inl > res.MaxAbsINL {
+				res.MaxAbsINL, res.WorstINLCode = inl, i
+			}
+			for k := 0; k <= n; k++ {
+				diff[k] = w[k] - prevW[k]
+			}
+			sigmaD := math.Sqrt(refQuadForm(a, diff))
+			dnl := (math.Abs(rSys-prevSys-lsb) + 3*sigmaD) / lsb
+			if dnl > res.MaxAbsDNL {
+				res.MaxAbsDNL, res.WorstDNLCode = dnl, i
+			}
+		}
+		prevSys = rSys
+		copy(prevW, w)
+	}
+	return res
+}
+
+func checkAgainstRef(t *testing.T, name string, a *variation.Analysis, par Parasitics) (dINL, dDNL float64) {
+	t.Helper()
+	got, err := Nonlinearity(a, par, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := nonlinearityRef(a, par)
+	dINL = math.Abs(got.MaxAbsINL - want.MaxAbsINL)
+	dDNL = math.Abs(got.MaxAbsDNL - want.MaxAbsDNL)
+	if dINL > 1e-10 || dDNL > 1e-10 {
+		t.Errorf("%s: INL %.17g / DNL %.17g, reference %.17g / %.17g",
+			name, got.MaxAbsINL, got.MaxAbsDNL, want.MaxAbsINL, want.MaxAbsDNL)
+	}
+	return dINL, dDNL
+}
+
+// TestNonlinearityMatchesReference: the half-table sweep reproduces
+// the O(N²)-per-code formulation within 1e-10 LSB for every style at
+// 6-12 bits, with and without a top-plate parasitic.
+func TestNonlinearityMatchesReference(t *testing.T) {
+	bitsList := []int{6, 8, 10, 12}
+	if testing.Short() {
+		bitsList = []int{6, 8}
+	}
+	worstI, worstD := 0.0, 0.0
+	for _, n := range bitsList {
+		for _, style := range []place.Style{place.Spiral, place.Chessboard, place.BlockChessboard} {
+			a := analysisFor(t, n, style, 0.3)
+			for _, par := range []Parasitics{{}, {CTSfF: 5, CTBOnfF: 0.2, CTBOfffF: 0.1}} {
+				dI, dD := checkAgainstRef(t, fmt.Sprintf("%v/%d/%+v", style, n, par), a, par)
+				worstI, worstD = math.Max(worstI, dI), math.Max(worstD, dD)
+			}
+		}
+	}
+	t.Logf("worst |ΔINL| = %.3g LSB, |ΔDNL| = %.3g LSB", worstI, worstD)
+}
+
+// TestNonlinearityRandomSPD fuzzes the block-sum identity on random
+// symmetric positive-definite covariances with a strongly correlated
+// common mode — the regime where wᵀ Cov w cancels hardest.
+func TestNonlinearityRandomSPD(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(10)
+		a := &variation.Analysis{
+			Bits:     n,
+			Counts:   make([]int, n+1),
+			CuFF:     0.5 + rng.Float64(),
+			ThetaRad: 0.1,
+			CStar:    make([]float64, n+1),
+			Cov:      linalg.NewDense(n + 1),
+		}
+		for k := 0; k <= n; k++ {
+			a.Counts[k] = 1 << max(k-1, 0)
+			if rng.Intn(3) == 0 {
+				a.Counts[k] *= 2
+			}
+			a.CStar[k] = float64(a.Counts[k]) * a.CuFF * (1 + 1e-4*rng.NormFloat64())
+		}
+		b := make([]float64, (n+1)*(n+1))
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		common := 10 * rng.Float64()
+		for j := 0; j <= n; j++ {
+			for k := 0; k <= n; k++ {
+				v := common * float64(a.Counts[j]*a.Counts[k])
+				for l := 0; l <= n; l++ {
+					v += b[j*(n+1)+l] * b[k*(n+1)+l]
+				}
+				a.Cov.Set(j, k, 1e-4*v)
+			}
+		}
+		checkAgainstRef(t, fmt.Sprintf("trial %d (N=%d)", trial, n), a, Parasitics{CTSfF: rng.Float64()})
+	}
+}
+
+// TestDNLSigmaExact: against a 300-bit evaluation of the exact DNL
+// difference vector on the 12-bit block-chessboard covariance, the
+// per-lowest-bit σ_D is no farther from the exact value than the
+// reference formulation's float difference of adjacent weight vectors
+// at any code with that lowest bit.
+func TestDNLSigmaExact(t *testing.T) {
+	if testing.Short() {
+		t.Skip("12-bit exact check")
+	}
+	a := analysisFor(t, 12, place.BlockChessboard, 0)
+	n := a.Bits
+	const prec = 300
+	bf := func(x float64) *big.Float { return new(big.Float).SetPrec(prec).SetFloat64(x) }
+	cT := 0.0
+	total := 0
+	for k := 0; k <= n; k++ {
+		cT += float64(a.Counts[k]) * a.CuFF
+		total += a.Counts[k]
+	}
+	bigCT := bf(0)
+	for k := 0; k <= n; k++ {
+		bigCT.Add(bigCT, new(big.Float).SetPrec(prec).Mul(bf(float64(a.Counts[k])), bf(a.CuFF)))
+	}
+	exact := make([]float64, n+1)
+	below := 0
+	for t := 1; t <= n; t++ {
+		dr := new(big.Float).SetPrec(prec).Quo(bf(float64(a.Counts[t]-below)), bf(float64(total)))
+		d := make([]*big.Float, n+1)
+		for k := range d {
+			delta := 0.0
+			switch {
+			case k == t:
+				delta = 1
+			case k >= 1 && k < t:
+				delta = -1
+			}
+			d[k] = new(big.Float).SetPrec(prec).Sub(bf(delta), dr)
+		}
+		v := bf(0)
+		for j := 0; j <= n; j++ {
+			for k := 0; k <= n; k++ {
+				p := new(big.Float).SetPrec(prec).Mul(d[j], d[k])
+				v.Add(v, p.Mul(p, bf(a.Cov.At(j, k))))
+			}
+		}
+		v.Sqrt(v)
+		exact[t], _ = v.Quo(v, bigCT).Float64()
+		below += a.Counts[t]
+	}
+	got := dnlSigmas(a, cT)
+	oldWorst := make([]float64, n+1)
+	prevW := refWeights(a, 0)
+	diff := make([]float64, n+1)
+	for i := 1; i < 1<<n; i++ {
+		w := refWeights(a, i)
+		for k := range diff {
+			diff[k] = w[k] - prevW[k]
+		}
+		prevW = w
+		tb := bits.TrailingZeros(uint(i)) + 1
+		oldWorst[tb] = math.Max(oldWorst[tb], math.Abs(math.Sqrt(refQuadForm(a, diff))-exact[tb])/exact[tb])
+	}
+	worstNew, worstOld := 0.0, 0.0
+	for tb := 1; tb <= n; tb++ {
+		newErr := math.Abs(got[tb]-exact[tb]) / exact[tb]
+		if newErr > oldWorst[tb] && newErr > 1e-15 {
+			t.Errorf("t=%d: σ_D rel err %.3g, reference formulation %.3g", tb, newErr, oldWorst[tb])
+		}
+		worstNew, worstOld = math.Max(worstNew, newErr), math.Max(worstOld, oldWorst[tb])
+	}
+	t.Logf("σ_D rel err vs exact: per-bit %.3g, float difference %.3g", worstNew, worstOld)
+}
+
+// TestNonlinearityZeroAllocsPerCode pins the per-code cost: a full
+// sweep allocates a fixed handful of tables, independent of 2^N.
+func TestNonlinearityZeroAllocsPerCode(t *testing.T) {
+	small := analysisFor(t, 6, place.Spiral, 0.2)
+	large := analysisFor(t, 10, place.Spiral, 0.2)
+	count := func(a *variation.Analysis) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Nonlinearity(a, Parasitics{}, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if s, l := count(small), count(large); l > s+4 {
+		t.Errorf("allocations grow with codes: 6-bit %v, 10-bit %v", s, l)
+	}
+}
+
+// TestWorstOverThetaMixedNoise: analyses that do not share one
+// covariance each get their own noise half, so the worst case equals
+// the per-analysis sweeps.
+func TestWorstOverThetaMixedNoise(t *testing.T) {
+	as := []*variation.Analysis{
+		analysisFor(t, 8, place.Chessboard, 0.2),
+		analysisFor(t, 8, place.Spiral, 0.2),
+	}
+	worst, err := WorstOverThetaContext(context.Background(), as, Parasitics{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Nonlinearity(as[1], Parasitics{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *worst != *want {
+		t.Errorf("worst = %+v, want the spiral sweep %+v", *worst, *want)
+	}
+}
+
+// transferRef is the Monte-Carlo transfer of one sample as the
+// per-code bitsOf expansion computed it.
+func transferRef(a *variation.Analysis, dc []float64, par Parasitics, vref float64) []float64 {
+	n := a.Bits
+	cNom, cT := nominal(a)
+	dCT := par.CTBOnfF + par.CTBOfffF + par.CTSfF
+	for k := 0; k <= n; k++ {
+		dCT += dc[k]
+	}
+	out := make([]float64, 1<<n)
+	for i := range out {
+		d := bitsOf(n, i)
+		cOn, dOn := 0.0, par.CTBOnfF
+		for k := 1; k <= n; k++ {
+			if d[k] {
+				cOn += cNom[k]
+				dOn += dc[k]
+			}
+		}
+		out[i] = vref * (cOn + dOn) / (cT + dCT)
+	}
+	return out
+}
+
+// TestMonteCarloNLByteStable: decoding the code bits in place keeps
+// every sample's endpoint INL/DNL bit for bit what the per-code
+// bitsOf expansion produced — the results yield sample hashes cover.
+func TestMonteCarloNLByteStable(t *testing.T) {
+	a := analysisFor(t, 8, place.BlockChessboard, 0.4)
+	rng := rand.New(rand.NewSource(23))
+	shifts := make([][]float64, 16)
+	for s := range shifts {
+		shifts[s] = make([]float64, a.Bits+1)
+		for k := range shifts[s] {
+			shifts[s][k] = a.DCSys(k) + 1e-3*rng.NormFloat64()
+		}
+	}
+	par := Parasitics{CTSfF: 2}
+	got, err := MonteCarloNLEndpoint(a, shifts, par, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codes := 1 << a.Bits
+	for s, dc := range shifts {
+		out := transferRef(a, dc, par, 0.9)
+		lsb := (out[codes-1] - out[0]) / float64(codes-1)
+		want := Result{ThetaRad: a.ThetaRad}
+		for i := 1; i < codes; i++ {
+			if v := math.Abs((out[i] - (out[0] + float64(i)*lsb)) / lsb); v > want.MaxAbsINL {
+				want.MaxAbsINL, want.WorstINLCode = v, i
+			}
+			if v := math.Abs((out[i] - out[i-1] - lsb) / lsb); v > want.MaxAbsDNL {
+				want.MaxAbsDNL, want.WorstDNLCode = v, i
+			}
+		}
+		if got[s] != want {
+			t.Errorf("sample %d: %+v, per-code expansion %+v", s, got[s], want)
+		}
 	}
 }

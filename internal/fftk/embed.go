@@ -46,6 +46,10 @@ type EmbedOptions struct {
 	// chasing a sampleable spectrum (default 1 — each doubling
 	// quadruples the spectral work, so the chase must stay bounded).
 	MaxDoublings int
+	// Workers bounds the goroutines a separable embedding's spectra
+	// build may use (<= 1: serial). The kernel must then be safe for
+	// concurrent use. Results do not depend on it.
+	Workers int
 }
 
 // Embedding is the spectral form of one grid kernel: the torus

@@ -8,10 +8,10 @@
 // cols×cols blocks. Embedding the row axis alone in a circulant of
 // length M ≥ 2·Rows−1 block-diagonalizes the operator into M
 // cross-spectral cols×cols matrices S[m] = {λ_cc'[m]}: quadratic
-// forms contract per frequency in O(M·(K·C² + K²·C)) and correlated
-// sampling factors each S[m] once and then costs O(M·C²) per draw —
-// versus O(n²) per quadratic form and an impossible O(n³) Cholesky
-// for the dense path.
+// forms contract per frequency in O(M·C·Σ_k C_k) for classes occupying
+// C_k columns each, and correlated sampling factors each S[m] once and
+// then costs O(M·C²) per draw — versus O(n²) per quadratic form and an
+// impossible O(n³) Cholesky for the dense path.
 //
 // Soundness mirrors embed.go: quadratic forms use the raw spectra and
 // are exact to FFT roundoff unconditionally. Sampling needs every
@@ -32,6 +32,8 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+
+	"ccdac/internal/par"
 )
 
 // SemiGrid describes a separable lattice: Rows cells per column at
@@ -49,11 +51,16 @@ type SemiGrid struct {
 type SemiEmbedding struct {
 	g    SemiGrid
 	cols int
-	m    int         // row-torus length, pow2 ≥ 2·Rows−1
-	lamT [][]float64 // per frequency: packed symmetric S[m], len C(C+1)/2
-	plan *Plan
-	k0   float64
-	tol  float64
+	m    int // row-torus length, pow2 ≥ 2·Rows−1
+	// S[f] is stored by distinct column separation: sep[f][u] is the
+	// frequency-f spectrum of the u-th distinct separation's row kernel,
+	// and the packed entry p (pair ci ≤ cj, p = cj(cj+1)/2 + ci) of S[f]
+	// is sep[f][sepOf[p]].
+	sep   [][]float64
+	sepOf []int32
+	plan  *Plan
+	k0    float64
+	tol   float64
 
 	// KernelEvals counts kernel evaluations spent building the spectra.
 	KernelEvals int64
@@ -79,9 +86,11 @@ type semiScratch struct {
 }
 
 // NewSemiEmbedding builds the row-spectral embedding of kernel(d²) —
-// d² in µm² — over g. Construction only fails on degenerate
-// arguments; whether the spectra support sampling is reported by
-// CanSample.
+// d² in µm² — over g. The column-pair spectra are built on up to
+// opts.Workers goroutines, so kernel must be safe for concurrent use;
+// they are bit-identical at any worker count. Construction only
+// fails on degenerate arguments; whether the spectra support sampling
+// is reported by CanSample.
 func NewSemiEmbedding(g SemiGrid, kernel func(d2 float64) float64, opts EmbedOptions) (*SemiEmbedding, error) {
 	cols := len(g.ColX)
 	if g.Rows < 1 || cols < 1 {
@@ -104,36 +113,68 @@ func NewSemiEmbedding(g SemiGrid, kernel func(d2 float64) float64, opts EmbedOpt
 	if err != nil {
 		return nil, err
 	}
-	e := &SemiEmbedding{
-		g:    SemiGrid{Rows: g.Rows, DY: g.DY, ColX: append([]float64(nil), g.ColX...)},
-		cols: cols,
-		m:    m,
-		plan: plan,
-		k0:   k0,
-		tol:  tol,
-	}
-	e.lamT = make([][]float64, m)
-	for f := range e.lamT {
-		e.lamT[f] = make([]float64, cols*(cols+1)/2)
-	}
-	// One length-M FFT per column pair: the row-direction kernel
-	// k_cc'(Δr) = kernel(Δx² + (Δr·DY)²) wrapped onto the torus. The
-	// wrap min(s, M−s) makes it even, so every spectrum is real.
-	buf := make([]complex128, m)
+	half := m / 2
+	pairs := cols * (cols + 1) / 2
+	// The row kernel of pair (ci, cj) depends on the columns only
+	// through Δx², and pairs at bit-identical Δx² have bit-identical
+	// kernels and spectra. Routed layouts repeat column separations
+	// (a 12-bit array has ~1.1k distinct ones among ~2.1k pairs), so
+	// only the distinct separations are transformed.
+	sepOf := make([]int32, pairs)
+	var dx2s []float64
+	index := make(map[uint64]int32, cols)
 	for cj := 0; cj < cols; cj++ {
 		for ci := 0; ci <= cj; ci++ {
 			dx := g.ColX[ci] - g.ColX[cj]
-			for s := 0; s < m; s++ {
-				wr := float64(min(s, m-s)) * g.DY
-				buf[s] = complex(kernel(dx*dx+wr*wr), 0)
+			d2 := dx * dx
+			u, ok := index[math.Float64bits(d2)]
+			if !ok {
+				u = int32(len(dx2s))
+				index[math.Float64bits(d2)] = u
+				dx2s = append(dx2s, d2)
 			}
-			e.KernelEvals += int64(m)
+			sepOf[cj*(cj+1)/2+ci] = u
+		}
+	}
+	e := &SemiEmbedding{
+		g:           SemiGrid{Rows: g.Rows, DY: g.DY, ColX: append([]float64(nil), g.ColX...)},
+		cols:        cols,
+		m:           m,
+		plan:        plan,
+		k0:          k0,
+		tol:         tol,
+		sepOf:       sepOf,
+		KernelEvals: int64(len(dx2s)) * int64(half+1),
+	}
+	// One length-M FFT per distinct separation: the row-direction
+	// kernel k(Δx² + (Δr·DY)²) wrapped onto the torus. The wrap
+	// min(s, M−s) makes it even — evaluated for s ≤ M/2, mirrored
+	// above — so every spectrum is real and even. Each separation owns
+	// its output row and its own transform, so the spectra are
+	// bit-identical at any worker count.
+	const sepChunk = 16
+	nsep := len(dx2s)
+	spectra := make([]float64, m*nsep) // [f·nsep + u]
+	_ = par.ForN(opts.Workers, (nsep+sepChunk-1)/sepChunk, func(i int) error {
+		buf := make([]complex128, m)
+		for u := i * sepChunk; u < min((i+1)*sepChunk, nsep); u++ {
+			for s := 0; s <= half; s++ {
+				wr := float64(s) * g.DY
+				buf[s] = complex(kernel(dx2s[u]+wr*wr), 0)
+			}
+			for s := half + 1; s < m; s++ {
+				buf[s] = buf[m-s]
+			}
 			plan.Forward(buf)
-			pij := cj*(cj+1)/2 + ci
 			for f := 0; f < m; f++ {
-				e.lamT[f][pij] = real(buf[f])
+				spectra[f*nsep+u] = real(buf[f])
 			}
 		}
+		return nil
+	})
+	e.sep = make([][]float64, m)
+	for f := range e.sep {
+		e.sep[f] = spectra[f*nsep : (f+1)*nsep : (f+1)*nsep]
 	}
 	e.pool.New = func() any {
 		return &semiScratch{
@@ -152,16 +193,30 @@ func (e *SemiEmbedding) Grid() SemiGrid { return e.g }
 // count it bounds the spectral work per sample, O(M·C²).
 func (e *SemiEmbedding) Points() int { return e.m }
 
+// quadBlock is the number of frequencies one QuadForms work item
+// contracts.
+const quadBlock = 4
+
 // QuadForms evaluates the full matrix of quadratic forms G[j][k] =
 // 1_jᵀ C 1_k for the indicator vectors of the given classes, each a
-// list of flat row-major cell indices r·Cols+c. The raw spectra make
-// this exact to FFT roundoff even when some S[m] is indefinite. The
-// contraction is serial and therefore deterministic.
-func (e *SemiEmbedding) QuadForms(classes [][]int) [][]float64 {
+// list of flat row-major cell indices r·Cols+c, on up to workers
+// goroutines. The raw spectra make this exact to FFT roundoff even
+// when some S[m] is indefinite.
+//
+// Each frequency's term is independent: the real S[f] times every
+// class's real and imaginary indicator parts, then the class-pair dot
+// products, skipping the columns a class does not occupy (their
+// indicator entries are zero and add nothing). The terms are summed
+// over frequencies in ascending order afterwards, so the forms are
+// bitwise identical at any worker count — and to the serial
+// complex-arithmetic contraction, whose per-entry operation order
+// they keep.
+func (e *SemiEmbedding) QuadForms(classes [][]int, workers int) [][]float64 {
 	R, C, M := e.g.Rows, e.cols, e.m
 	nc := len(classes)
 	// Spectral indicators: one FFT per (class, column) with cells.
 	spec := make([][]complex128, nc*C)
+	var used []int
 	for j, cls := range classes {
 		for _, idx := range cls {
 			r, c := idx/C, idx%C
@@ -170,66 +225,125 @@ func (e *SemiEmbedding) QuadForms(classes [][]int) [][]float64 {
 			}
 			if spec[j*C+c] == nil {
 				spec[j*C+c] = make([]complex128, M)
+				used = append(used, j*C+c)
 			}
 			spec[j*C+c][r] += 1
 		}
 	}
-	for _, v := range spec {
-		if v != nil {
-			e.plan.Forward(v)
+	_ = par.ForN(workers, len(used), func(i int) error {
+		e.plan.Forward(spec[used[i]])
+		return nil
+	})
+	occ := make([][]int, nc) // per class: occupied columns, ascending
+	for j := range occ {
+		for c := 0; c < C; c++ {
+			if spec[j*C+c] != nil {
+				occ[j] = append(occ[j], c)
+			}
 		}
 	}
+
+	terms := make([]float64, M*nc*nc) // [f][j][k], k ≥ j
+	_ = par.ForN(workers, (M+quadBlock-1)/quadBlock, func(b int) error {
+		xr, xi := make([]float64, nc*C), make([]float64, nc*C)
+		yr, yi := make([]float64, nc*C), make([]float64, nc*C)
+		sf := make([]float64, C*C)
+		for f := b * quadBlock; f < min((b+1)*quadBlock, M); f++ {
+			for j, cols := range occ {
+				for _, c := range cols {
+					v := spec[j*C+c][f]
+					xr[j*C+c], xi[j*C+c] = real(v), imag(v)
+				}
+			}
+			e.unpack(sf, f)
+			for j, cols := range occ {
+				o := j * C
+				mulCols(yr[o:o+C], yi[o:o+C], sf, xr[o:o+C], xi[o:o+C], cols)
+			}
+			t := terms[f*nc*nc : (f+1)*nc*nc]
+			for j, cols := range occ {
+				xrj, xij := xr[j*C:j*C+C], xi[j*C:j*C+C]
+				for k := j; k < nc; k++ {
+					yrk, yik := yr[k*C:k*C+C], yi[k*C:k*C+C]
+					dot := 0.0
+					for _, c := range cols {
+						dot += xrj[c]*yrk[c] + xij[c]*yik[c]
+					}
+					t[j*nc+k] = dot
+				}
+			}
+		}
+		return nil
+	})
 
 	G := make([][]float64, nc)
 	for j := range G {
 		G[j] = make([]float64, nc)
 	}
-	a := make([]complex128, nc*C)
-	y := make([]complex128, nc*C)
-	for f := 0; f < M; f++ {
-		for i, v := range spec {
-			if v == nil {
-				a[i] = 0
-			} else {
-				a[i] = v[f]
-			}
-		}
-		lam := e.lamT[f]
-		for j := 0; j < nc; j++ {
-			aj := a[j*C : j*C+C]
-			yj := y[j*C : j*C+C]
-			for i := range yj {
-				yj[i] = 0
-			}
-			for cj := 0; cj < C; cj++ {
-				base := cj * (cj + 1) / 2
-				for ci := 0; ci < cj; ci++ {
-					v := complex(lam[base+ci], 0)
-					yj[ci] += v * aj[cj]
-					yj[cj] += v * aj[ci]
-				}
-				yj[cj] += complex(lam[base+cj], 0) * aj[cj]
-			}
-		}
-		for j := 0; j < nc; j++ {
-			for k := j; k < nc; k++ {
-				dot := 0.0
-				for c := 0; c < C; c++ {
-					av, yv := a[j*C+c], y[k*C+c]
-					dot += real(av)*real(yv) + imag(av)*imag(yv)
-				}
-				G[j][k] += dot
-			}
-		}
-	}
 	inv := 1 / float64(M)
 	for j := 0; j < nc; j++ {
 		for k := j; k < nc; k++ {
-			G[j][k] *= inv
+			s := 0.0
+			for f := 0; f < M; f++ {
+				s += terms[f*nc*nc+j*nc+k]
+			}
+			G[j][k] = s * inv
 			G[k][j] = G[j][k]
 		}
 	}
 	return G
+}
+
+// unpack writes S[f] into dst as a full symmetric row-major C×C
+// matrix.
+func (e *SemiEmbedding) unpack(dst []float64, f int) {
+	C, row := e.cols, e.sep[f]
+	p := 0
+	for cj := 0; cj < C; cj++ {
+		for ci := 0; ci <= cj; ci++ {
+			v := row[e.sepOf[p]]
+			dst[ci*C+cj] = v
+			dst[cj*C+ci] = v
+			p++
+		}
+	}
+}
+
+// mulCols sets (yr, yi) = s·(xr, xi) for the symmetric row-major C×C
+// matrix s and one class's real and imaginary indicator parts, summing
+// only over the class's occupied columns cols (ascending, so each
+// entry accumulates in column order). Four output rows at a time keep
+// their accumulators in registers; by symmetry their four matrix
+// entries for one column are contiguous in s's row of that column.
+func mulCols(yr, yi, s, xr, xi []float64, cols []int) {
+	C := len(yr)
+	ci := 0
+	for ; ci+3 < C; ci += 4 {
+		var r0, r1, r2, r3, i0, i1, i2, i3 float64
+		for _, cj := range cols {
+			sv := s[cj*C+ci : cj*C+ci+4 : cj*C+ci+4]
+			a, b := xr[cj], xi[cj]
+			r0 += sv[0] * a
+			i0 += sv[0] * b
+			r1 += sv[1] * a
+			i1 += sv[1] * b
+			r2 += sv[2] * a
+			i2 += sv[2] * b
+			r3 += sv[3] * a
+			i3 += sv[3] * b
+		}
+		yr[ci], yr[ci+1], yr[ci+2], yr[ci+3] = r0, r1, r2, r3
+		yi[ci], yi[ci+1], yi[ci+2], yi[ci+3] = i0, i1, i2, i3
+	}
+	for ; ci < C; ci++ {
+		r, i := 0.0, 0.0
+		for _, cj := range cols {
+			v := s[cj*C+ci]
+			r += v * xr[cj]
+			i += v * xi[cj]
+		}
+		yr[ci], yi[ci] = r, i
+	}
 }
 
 // CanSample reports whether the clamped factorization's covariance
@@ -255,15 +369,7 @@ func (e *SemiEmbedding) factorize() {
 	s := make([]float64, C*C)
 	var clamped [][]float64 // packed symmetric N[d], nil where PSD
 	for d := 0; d <= M/2; d++ {
-		lam := e.lamT[d]
-		for cj := 0; cj < C; cj++ {
-			base := cj * (cj + 1) / 2
-			for ci := 0; ci <= cj; ci++ {
-				v := lam[base+ci]
-				s[ci*C+cj] = v
-				s[cj*C+ci] = v
-			}
-		}
+		e.unpack(s, d)
 		f, nf := factorPSD(s, C, e.k0)
 		inv := 1 / math.Sqrt(float64(M))
 		for i := range f {

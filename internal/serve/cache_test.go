@@ -181,7 +181,7 @@ func TestSingleflightLeaderCancelHandoff(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	body := `{"bits":10,"max_parallel":2,"theta_steps":360}` // hundreds of ms
+	body := `{"bits":12,"max_parallel":2,"theta_steps":360}` // tens of ms warm, ~100ms cold
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	defer cancelLeader()
 	leaderDone := make(chan error, 1)

@@ -134,10 +134,11 @@ func TestRequestTimeoutCancelsMidRequest(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// A 10-bit run with a maxed-out theta sweep takes hundreds of
-	// milliseconds, so the 1ms deadline always fires mid-pipeline.
+	// A 12-bit run with a maxed-out theta sweep takes tens of
+	// milliseconds even on warm stage caches, so the 1ms deadline
+	// always fires mid-pipeline.
 	start := time.Now()
-	resp, data := postGenerate(t, ts.URL, `{"bits":10,"theta_steps":360}`)
+	resp, data := postGenerate(t, ts.URL, `{"bits":12,"theta_steps":360}`)
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Errorf("canceled request took %v, want prompt return", elapsed)
 	}
@@ -186,11 +187,12 @@ func TestClientCancelMidRequest(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// 10 bits with a maxed-out theta sweep runs far longer than the
-	// cancel delay, so the cancellation always lands mid-pipeline.
+	// 12 bits with a maxed-out theta sweep runs longer than the cancel
+	// delay even on warm stage caches (its 360-angle INL/DNL sweep is
+	// never memoized), so the cancellation always lands mid-pipeline.
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/generate",
-		strings.NewReader(`{"bits":10,"max_parallel":2,"theta_steps":360}`))
+		strings.NewReader(`{"bits":12,"max_parallel":2,"theta_steps":360}`))
 	if err != nil {
 		t.Fatal(err)
 	}

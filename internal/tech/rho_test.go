@@ -101,3 +101,30 @@ func TestRhoSqPathologicalInputs(t *testing.T) {
 		t.Errorf("Rho(1) after pathological inputs = %g, want %g", got, want)
 	}
 }
+
+// TestRhoSqKernelMatchesTable: the direct kernel serves bitwise what
+// the memo table serves — quantized keys and the out-of-range direct
+// formula alike — without touching the table's counters.
+func TestRhoSqKernelMatchesTable(t *testing.T) {
+	tch := FinFET12()
+	tch.Mis.RhoU = 0.98765 // a table of its own: counters isolated
+	rt := tch.RhoTable()
+	k := tch.RhoSqKernel()
+	d2s := []float64{0, 1e-7, 0.25, 1.2345678, 40.5, 1e5, 3e12, 1e70, math.Inf(1)}
+	want := make([]float64, len(d2s))
+	for i, d2 := range d2s {
+		want[i] = rt.RhoSq(d2)
+	}
+	h0, m0 := rt.Stats()
+	for i, d2 := range d2s {
+		if got := k(d2); got != want[i] {
+			t.Errorf("RhoSqKernel(%g) = %.17g, table %.17g", d2, got, want[i])
+		}
+	}
+	if h1, m1 := rt.Stats(); h1 != h0 || m1 != m0 {
+		t.Errorf("kernel moved table stats: hits %d→%d, misses %d→%d", h0, h1, m0, m1)
+	}
+	if got := k(math.NaN()); !math.IsNaN(got) {
+		t.Errorf("RhoSqKernel(NaN) = %g, want NaN", got)
+	}
+}

@@ -312,14 +312,13 @@ func (rt *RhoTable) Rho(dUm float64) float64 { return rt.RhoSq(dUm * dUm) }
 // microns. Hot loops call this form: it skips the per-pair hypot/sqrt
 // (the memo is keyed on quantized d²) as well as the pow.
 func (rt *RhoTable) RhoSq(d2Um float64) float64 {
-	q := d2Um * rhoQuantInv
-	if !(q >= 0 && q < 1<<62) {
+	key, ok := rhoQuantKey(d2Um)
+	if !ok {
 		// Out of quantization range (huge, negative, or NaN): compute
 		// directly, mirroring the un-memoized formula.
 		rt.misses.Add(1)
-		return math.Exp(math.Sqrt(d2Um) * rt.coef)
+		return rhoSqUnquantized(rt.coef, d2Um)
 	}
-	key := int64(q + 0.5)
 	if v, ok := rt.table.Load(key); ok {
 		rt.hits.Add(1)
 		return v.(float64)
@@ -327,13 +326,51 @@ func (rt *RhoTable) RhoSq(d2Um float64) float64 {
 	rt.misses.Add(1)
 	// Evaluate at the quantization point, so whichever goroutine
 	// computes a key first stores the same value any other would.
-	v := math.Exp(math.Sqrt(float64(key)/rhoQuantInv) * rt.coef)
+	v := rhoAtKey(rt.coef, key)
 	if rt.entries.Load() < rhoMemoMaxEntries {
 		if _, loaded := rt.table.LoadOrStore(key, v); !loaded {
 			rt.entries.Add(1)
 		}
 	}
 	return v
+}
+
+// rhoQuantKey returns the memo key of d² — its quantization point in
+// units of 1/rhoQuantInv µm² — or false when d² is outside the
+// quantization range (huge, negative, or NaN).
+func rhoQuantKey(d2Um float64) (int64, bool) {
+	q := d2Um * rhoQuantInv
+	if !(q >= 0 && q < 1<<62) {
+		return 0, false
+	}
+	return int64(q + 0.5), true
+}
+
+// rhoAtKey evaluates rho at a quantization point.
+func rhoAtKey(coef float64, key int64) float64 {
+	return math.Exp(math.Sqrt(float64(key)/rhoQuantInv) * coef)
+}
+
+// rhoSqUnquantized evaluates rho at d² itself, for out-of-range keys.
+func rhoSqUnquantized(coef, d2Um float64) float64 {
+	return math.Exp(math.Sqrt(d2Um) * coef)
+}
+
+// RhoSqKernel returns a function of d² (µm²) that yields exactly what
+// RhoTable().RhoSq serves — rho at d²'s quantization point — computed
+// directly: no memo lookup, no table growth, no counter update, and
+// safe for concurrent use without synchronization. Kernels that visit
+// each distance about once on many goroutines (the separable
+// covariance embedding) use it instead of paying map lookups that
+// seldom hit and a process-wide table that only grows.
+func (t *Technology) RhoSqKernel() func(d2Um float64) float64 {
+	coef := math.Log(t.Mis.RhoU) / t.Mis.LcUm
+	return func(d2Um float64) float64 {
+		if key, ok := rhoQuantKey(d2Um); ok {
+			return rhoAtKey(coef, key)
+		}
+		return rhoSqUnquantized(coef, d2Um)
+	}
 }
 
 // Stats reports the table's cumulative memo hits and misses.
@@ -363,12 +400,11 @@ func (rt *RhoTable) Local() *RhoLocal {
 // from the local cache and falling back to the shared table.
 func (l *RhoLocal) RhoSq(d2Um float64) float64 {
 	l.calls++
-	q := d2Um * rhoQuantInv
-	if !(q >= 0 && q < 1<<62) {
+	key, ok := rhoQuantKey(d2Um)
+	if !ok {
 		l.fetches++
 		return l.rt.RhoSq(d2Um)
 	}
-	key := int64(q + 0.5)
 	if v, ok := l.m[key]; ok {
 		return v
 	}

@@ -5,7 +5,7 @@
 // embeds in a circulant (internal/fftk). That turns the two hot dense
 // objects into spectral ones:
 //
-//   - the capacitor-level covariance of Analyze/SweepTheta becomes
+//   - the capacitor-level covariance of Analyze/SweepThetaContext becomes
 //     (N+1) quadratic forms 1_jᵀ C 1_k, evaluated with one FFT matvec
 //     per capacitor indicator (two per complex transform via the
 //     two-for-one packing) instead of ~n²/2 pair sums;
@@ -327,33 +327,39 @@ func covarianceFFT(ctx context.Context, g *cellGeom, t *tech.Technology, grid ff
 }
 
 // mismatchSemiEmbedding is the separable-lattice analog of
-// mismatchEmbedding, sharing the same quantized rho memo.
-func mismatchSemiEmbedding(t *tech.Technology, sg fftk.SemiGrid) (*fftk.SemiEmbedding, int64, int64, error) {
+// mismatchEmbedding. Its kernel serves bitwise the quantized rho the
+// memo would (tech.RhoSqKernel) but computes it directly: the spectra
+// build visits each distance about once, on several goroutines, so
+// memo lookups would seldom hit and only grow the process-wide table.
+// The spectra — and with them the sampler — are therefore identical
+// to a memo-backed build. Returns the embedding plus its kernel
+// evaluation count.
+func mismatchSemiEmbedding(t *tech.Technology, sg fftk.SemiGrid, workers int) (*fftk.SemiEmbedding, int64, error) {
 	sigmaU2 := t.SigmaU() * t.SigmaU()
-	local := t.RhoTable().Local()
+	rho := t.RhoSqKernel()
 	emb, err := fftk.NewSemiEmbedding(sg, func(d2 float64) float64 {
-		return sigmaU2 * local.RhoSq(d2)
-	}, fftk.EmbedOptions{})
-	calls, fetches := local.Stats()
+		return sigmaU2 * rho(d2)
+	}, fftk.EmbedOptions{Workers: workers})
 	if err != nil {
-		return nil, calls, fetches, err
+		return nil, 0, err
 	}
-	return emb, calls, fetches, nil
+	return emb, emb.KernelEvals, nil
 }
 
 // covarianceSemi evaluates the capacitor quadratic forms through the
 // row-spectral embedding: per row-frequency the operator is one
 // cols×cols cross-spectral matrix, so the full (N+1)² block of forms
-// contracts in O(M·(N·C² + N²·C)) — no n×n matrix and no O(n²) pair
-// sum. The contraction is serial, hence deterministic at any worker
-// count.
+// contracts in at most O(M·N·C²) — no n×n matrix and no O(n²) pair
+// sum. Both the spectra build and the contraction run on the context's
+// worker budget and are bit-identical at any worker count.
 func covarianceSemi(ctx context.Context, g *cellGeom, t *tech.Technology, sg fftk.SemiGrid) (*linalg.Dense, error) {
-	emb, calls, fetches, err := mismatchSemiEmbedding(t, sg)
+	workers := par.Workers(ctx)
+	emb, evals, err := mismatchSemiEmbedding(t, sg, workers)
 	if err != nil {
 		return nil, err
 	}
-	obs.Count(ctx, "ccdac_variation_rho_calls_total", calls)
-	obs.Count(ctx, "ccdac_variation_rho_memo_hits_total", calls-fetches)
+	obs.Count(ctx, "ccdac_variation_rho_calls_total", evals)
+	obs.Count(ctx, "ccdac_variation_rho_memo_hits_total", 0)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("variation: covariance: %w", err)
 	}
@@ -365,7 +371,7 @@ func covarianceSemi(ctx context.Context, g *cellGeom, t *tech.Technology, sg fft
 			classes[k][i] = c.Row*g.cols + c.Col
 		}
 	}
-	forms := emb.QuadForms(classes)
+	forms := emb.QuadForms(classes, workers)
 	cov := linalg.NewDense(bits + 1)
 	for j := 0; j <= bits; j++ {
 		for k := 0; k <= bits; k++ {
@@ -427,8 +433,8 @@ func newMCSampler(ctx context.Context, units []mcUnit, rows, cols int, t *tech.T
 		}
 		sampler = emb
 	} else {
-		emb, c, f, err := mismatchSemiEmbedding(t, sg)
-		calls, fetches = c, f
+		emb, c, err := mismatchSemiEmbedding(t, sg, par.Workers(ctx))
+		calls, fetches = c, c
 		if err != nil || !emb.CanSample() {
 			obs.CountL(ctx, "ccdac_numeric_fft_fallback_total", obs.Labels{"path": "mc"}, 1)
 			return nil, false

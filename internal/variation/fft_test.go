@@ -9,6 +9,7 @@ import (
 
 	"ccdac/internal/ccmatrix"
 	"ccdac/internal/fault"
+	"ccdac/internal/fftk"
 	"ccdac/internal/geom"
 	"ccdac/internal/obs"
 	"ccdac/internal/place"
@@ -310,6 +311,48 @@ func TestRoutedLayoutStructuredCovariance(t *testing.T) {
 	}
 }
 
+// TestRoutedSweepLeavesRhoTable: the separable covariance computes
+// its kernel directly, so a routed sweep neither reads nor grows the
+// process-wide correlation memo, and its trace reports the spectra's
+// kernel evaluations with zero memo hits.
+func TestRoutedSweepLeavesRhoTable(t *testing.T) {
+	tch := tech.FinFET12()
+	tch.Mis.RhoU = 0.99871 // a correlation table of its own
+	m, err := place.NewSpiral(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := routedLayout(t, m, tch)
+	g := gatherCells(m, pos)
+	sg, ok := fitSeparableGrid(g.flat, g.rows, g.cols)
+	if !ok {
+		t.Fatal("routed layout does not fit the separable lattice")
+	}
+	hits0, misses0 := tch.RhoTable().Stats()
+	ctx, tr := tracedCtx(t)
+	if _, err := SweepThetaContext(ctx, m, pos, tch, 4); err != nil {
+		t.Fatal(err)
+	}
+	hits1, misses1 := tch.RhoTable().Stats()
+	if misses1 != misses0 || hits1 != hits0 {
+		t.Errorf("RhoTable stats moved: hits %d→%d, misses %d→%d", hits0, hits1, misses0, misses1)
+	}
+	snap := tr.Registry().Snapshot()
+	if got := snap.Counter("ccdac_numeric_fft_structured_total", obs.Labels{"path": "analyze"}); got != 1 {
+		t.Fatalf("structured_total{analyze} = %d, want 1 (separable path did not engage)", got)
+	}
+	emb, err := fftk.NewSemiEmbedding(sg, func(float64) float64 { return 1 }, fftk.EmbedOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Counter("ccdac_variation_rho_calls_total", nil); got != emb.KernelEvals {
+		t.Errorf("rho_calls_total = %d, want the spectra's %d kernel evaluations", got, emb.KernelEvals)
+	}
+	if got := snap.Counter("ccdac_variation_rho_memo_hits_total", nil); got != 0 {
+		t.Errorf("rho_memo_hits_total = %d, want 0", got)
+	}
+}
+
 // TestRoutedMonteCarloFFTSampleCovariance: the separable spectral
 // sampler's empirical covariance must converge to the analytic one on
 // a routed layout — the correctness of the per-frequency factorized
@@ -404,7 +447,7 @@ func TestSharedMonteCarloMatchesPackage(t *testing.T) {
 		{"dense", FFTOff},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sh, err := NewShared(m, pos, tch)
+			sh, err := NewSharedContext(context.Background(), m, pos, tch)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -352,16 +352,11 @@ func AnalyzeContext(ctx context.Context, m *ccmatrix.Matrix, pos Positioner, t *
 	return a, nil
 }
 
-// SweepTheta analyzes the placement over nSteps gradient angles in
-// [0, pi) and returns one Analysis per angle. The covariance matrix is
-// computed once and shared (it is angle-independent).
-func SweepTheta(m *ccmatrix.Matrix, pos Positioner, t *tech.Technology, nSteps int) ([]*Analysis, error) {
-	return SweepThetaContext(context.Background(), m, pos, t, nSteps)
-}
-
-// SweepThetaContext is SweepTheta under a context: cancellation is
-// checked within the covariance build and before every angle step, so
-// a canceled sweep returns promptly.
+// SweepThetaContext analyzes the placement over nSteps gradient angles
+// in [0, pi) and returns one Analysis per angle; the covariance matrix
+// is computed once and shared (it is angle-independent). Cancellation
+// is checked within the covariance build and before every angle step,
+// so a canceled sweep returns promptly.
 //
 // The geometry is gathered once and the angle-independent covariance
 // is built exactly once (the seed recomputed — then discarded — a full
@@ -595,11 +590,6 @@ type Shared struct {
 	mcOnce sync.Once
 	mcSmp  *mcSampler
 	mcOK   bool
-}
-
-// NewShared is NewSharedContext under context.Background.
-func NewShared(m *ccmatrix.Matrix, pos Positioner, t *tech.Technology) (*Shared, error) {
-	return NewSharedContext(context.Background(), m, pos, t)
 }
 
 // NewSharedContext gathers the placement geometry and builds the

@@ -1,6 +1,7 @@
 package variation
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -168,7 +169,7 @@ func TestSweepThetaSharesCovariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	tch := tech.FinFET12()
-	as, err := SweepTheta(m, GridPositioner(tch), tch, 6)
+	as, err := SweepThetaContext(context.Background(), m, GridPositioner(tch), tch, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestSweepThetaSharesCovariance(t *testing.T) {
 			t.Errorf("analysis %d theta = %g, want %g", i, a.ThetaRad, want)
 		}
 	}
-	if _, err := SweepTheta(m, GridPositioner(tch), tch, 0); err == nil {
+	if _, err := SweepThetaContext(context.Background(), m, GridPositioner(tch), tch, 0); err == nil {
 		t.Error("zero-step sweep must be rejected")
 	}
 }
